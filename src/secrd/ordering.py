@@ -15,17 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .probs import (
     Alphabet,
     ConditionalPmf,
     InvalidArgument,
+    batch_entropy,
     binary_entropy,
-    joint_from,
-    mutual_information,
 )
-from .region import SecureSource
+from .region import SecureSource, _channel_grid
 
 FEAS_TOL = 1e-9
 
@@ -89,6 +87,8 @@ def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
     q >= 0 by minimizing the L1 residual with an LP; returns the witness
     channel q when feasible.
     """
+    from scipy.optimize import linprog  # deferred: importing scipy.optimize is slow
+
     if first.input != second.input:
         raise InvalidArgument("channels must share their input alphabet")
     pb = np.asarray(first.rows)   # |A| x |B|
@@ -137,10 +137,16 @@ def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]
     )
 
 
+def _information(p: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits of each p[k, x, y], clamped at 0."""
+    return np.maximum(0.0, batch_entropy(p.sum(axis=2)) + batch_entropy(p.sum(axis=1))
+                      - batch_entropy(p))
+
+
 def is_more_capable(source: SecureSource, tol: float = FEAS_TOL) -> tuple[bool, bool]:
     """Compare I(A;B) against I(A;E); ties report yes in both directions."""
-    iab = mutual_information(source.joint, ("A",), ("B",))
-    iae = mutual_information(source.joint, ("A",), ("E",))
+    iab = float(_information(source.p_abe.sum(axis=2)[None])[0])
+    iae = float(_information(source.p_abe.sum(axis=1)[None])[0])
     return iab >= iae - tol, iae >= iab - tol
 
 
@@ -178,31 +184,11 @@ def less_noisy_search(source: SecureSource, resolution: int = 40,
     if u_size > len(a) + 1:
         raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
     u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
-
-    from .region import _simplex_grid  # same lattice as the region search
-
-    rows = _simplex_grid(u_size, resolution)
-
-    def violation(mat) -> float:
-        ch = ConditionalPmf(a, u_alph, mat)
-        joint = joint_from(source.joint, [("U", ch, "A")])
-        return (mutual_information(joint, ("U",), ("E",))
-                - mutual_information(joint, ("U",), ("B",)))
-
-    worst = None
-    na = len(a)
-
-    def rec(chosen):
-        nonlocal worst
-        if len(chosen) == na:
-            v = violation(np.array(chosen))
-            if worst is None or v > worst[0]:
-                worst = (v, np.array(chosen))
-            return
-        for r in rows:
-            rec(chosen + [list(r)])
-
-    rec([])
-    if worst is not None and worst[0] > tol:
-        return "counterexample", ConditionalPmf(a, u_alph, worst[1])
+    # every channel A -> U on the region search's lattice, as one batch
+    channels = _channel_grid(len(a), u_size, resolution)
+    p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
+    violation = _information(p_ea @ channels) - _information(p_ba @ channels)
+    worst = int(np.argmax(violation))  # the first of equal maxima
+    if violation[worst] > tol:
+        return "counterexample", ConditionalPmf(a, u_alph, channels[worst])
     return "no-violation", resolution

@@ -121,9 +121,10 @@ class ConditionalPmf:
         object.__setattr__(self, "rows", rows)
 
 
-def _entropy_of_mass(mass: np.ndarray) -> float:
-    p = mass[mass > 0]
-    return float(-(p * np.log2(p)).sum())
+def batch_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each p[k, ...], summed over all axes but the first."""
+    logs = np.log2(np.where(p > 0, p, 1.0))
+    return -(p * logs).sum(axis=tuple(range(1, p.ndim)))
 
 
 def entropy(pmf: JointPmf, targets: Iterable[str]) -> float:
@@ -131,7 +132,7 @@ def entropy(pmf: JointPmf, targets: Iterable[str]) -> float:
     targets = tuple(targets)
     if not targets:
         return 0.0
-    return _entropy_of_mass(pmf.marginal(targets).mass)
+    return float(batch_entropy(pmf.marginal(targets).mass[None])[0])
 
 
 def conditional_entropy(pmf: JointPmf, targets: Iterable[str], given: Iterable[str]) -> float:

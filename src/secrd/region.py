@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .probs import (
     ConditionalPmf,
     InvalidArgument,
     JointPmf,
+    batch_entropy,
     conditional_entropy,
     constant_channel,
     identity_channel,
@@ -58,6 +60,11 @@ class SecureSource:
     @property
     def e_alphabet(self) -> Alphabet:
         return self.joint.alphabet("E")
+
+    @property
+    def p_abe(self) -> np.ndarray:
+        """The joint mass with its axes in (A, B, E) order."""
+        return np.transpose(self.joint.mass, [self.joint.names.index(n) for n in "ABE"])
 
 
 def cardinality_caps(source: SecureSource) -> tuple[int, int]:
@@ -115,22 +122,35 @@ def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
     )
 
 
-def expected_distortion(source: SecureSource, scheme: AuxScheme,
-                        joint: JointPmf | None = None) -> float:
-    joint = joint if joint is not None else materialize(source, scheme)
-    pvba = joint.marginal(("V", "B", "A")).mass  # axes in joint order: A, B, V
-    # marginal keeps source order (A, B, V); index accordingly
-    p_abv = pvba
-    na, nb, nv = p_abv.shape
-    if scheme.reconstruction.shape != (nv, nb):
-        raise InvalidArgument("reconstruction shape does not match |V| x |B|")
-    d = source.distortion
-    total = 0.0
-    for v in range(nv):
-        for b in range(nb):
-            ahat = int(scheme.reconstruction[v, b])
-            total += float(p_abv[:, b, v] @ d[:, ahat])
-    return total
+def _h_a_given_rest(p: np.ndarray) -> np.ndarray:
+    """H(A | the other axes) of each p[k, a, ...]."""
+    return batch_entropy(p) - batch_entropy(p.sum(axis=1))
+
+
+def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
+              recon: np.ndarray | None = None):
+    """(R, D, Delta, recon) of K schemes at once, as `evaluate_scheme` defines them.
+
+    `v[k]` holds the |A| x |V| and `u[k]` the |V| x |U| channel rows of
+    scheme k, and `recon[k]` its |V| x |B| reconstruction map. Without
+    `recon` the distortion-optimal map is used and returned: ties break to
+    the lowest symbol index, and zero-probability (v, b) pairs map to 0.
+    """
+    p_ab = p_abe.sum(axis=2)
+    p_abv = p_ab[None, :, :, None] * v[:, :, None, :]
+    costs = p_abv.transpose(0, 3, 2, 1) @ d  # costs[k, v, b, ahat]
+    if recon is None:
+        recon = costs.argmin(axis=3)
+    dist = np.take_along_axis(costs, recon[..., None], axis=3).sum(axis=(1, 2, 3))
+    w = v @ u  # the composite channel A -> U
+    p_abu = p_ab[None, :, :, None] * w[:, :, None, :]
+    p_aeu = p_abe.sum(axis=1)[None, :, :, None] * w[:, :, None, :]
+    h_a_bv = _h_a_given_rest(p_abv)
+    h_a_u = _h_a_given_rest(p_abu.sum(axis=2))
+    rate = np.maximum(0.0, _h_a_given_rest(p_ab[None]) - h_a_bv)
+    i_ab_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_abu))
+    i_ae_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_aeu))
+    return rate, dist, np.maximum(0.0, h_a_bv + i_ab_u - i_ae_u), recon
 
 
 def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
@@ -140,15 +160,15 @@ def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
     Delta = [H(A|VB) + I(A;B|U) - I(A;E|U)]_+ with the positive part
     applied at the end only.
     """
-    joint = materialize(source, scheme)
-    rate = mutual_information(joint, ("V",), ("A",), ("B",))
-    dist = expected_distortion(source, scheme, joint)
-    delta = (
-        conditional_entropy(joint, ("A",), ("V", "B"))
-        + mutual_information(joint, ("A",), ("B",), ("U",))
-        - mutual_information(joint, ("A",), ("E",), ("U",))
-    )
-    return RDETuple(rate, dist, max(0.0, delta))
+    if scheme.v_channel.input != source.a_alphabet:
+        raise InvalidArgument("v_channel input alphabet must match source A")
+    if scheme.reconstruction.shape != (len(scheme.v_channel.output),
+                                       len(source.b_alphabet)):
+        raise InvalidArgument("reconstruction shape does not match |V| x |B|")
+    rate, dist, delta, _ = rde_batch(
+        source.p_abe, source.distortion, scheme.v_channel.rows[None],
+        scheme.u_channel.rows[None], scheme.reconstruction[None])
+    return RDETuple(float(rate[0]), float(dist[0]), float(delta[0]))
 
 
 def best_reconstruction(source: SecureSource, v_channel: ConditionalPmf) -> np.ndarray:
@@ -159,20 +179,8 @@ def best_reconstruction(source: SecureSource, v_channel: ConditionalPmf) -> np.n
     """
     if v_channel.input != source.a_alphabet:
         raise InvalidArgument("v_channel input alphabet must match source A")
-    joint = joint_from(source.joint, [("V", v_channel, "A")])
-    p_abv = joint.marginal(("A", "B", "V")).mass
-    na, nb, nv = p_abv.shape
-    recon = np.zeros((nv, nb), dtype=int)
-    d = source.distortion
-    for v in range(nv):
-        for b in range(nb):
-            w = p_abv[:, b, v]
-            if w.sum() <= 0.0:
-                recon[v, b] = 0
-                continue
-            costs = w @ d  # costs[ahat] = sum_a p(a,b,v) d(a, ahat)
-            recon[v, b] = int(np.argmin(costs))
-    return recon
+    u = np.ones((1, len(v_channel.output), 1))
+    return rde_batch(source.p_abe, source.distortion, v_channel.rows[None], u)[3][0]
 
 
 def identity_scheme(source: SecureSource,
@@ -250,125 +258,84 @@ class BoundaryCurve:
         return buf.getvalue()
 
 
-def _simplex_grid(k: int, resolution: int) -> list[tuple[float, ...]]:
-    """All points of the k-simplex with coordinates multiple of 1/resolution."""
-    if k == 1:
-        return [(1.0,)]
-    out = []
+def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
+    """All n_in x n_out channels whose entries are multiples of 1/resolution.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining / resolution]))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c / resolution], remaining - c, slots - 1)
-
-    rec([], resolution, k)
-    return out
+    Shape (M, n_in, n_out). Rows run over the simplex grid in lexicographic
+    order, and the last input's row varies fastest.
+    """
+    rows = np.array([c + (resolution - sum(c),)
+                     for c in product(range(resolution + 1), repeat=n_out - 1)
+                     if sum(c) <= resolution]) / resolution
+    return rows[np.array(list(product(range(len(rows)), repeat=n_in)))]
 
 
-def _coarse_channels(n_in: int, alph_in: Alphabet, n_out: int,
-                     resolution: int, prefix: str) -> list[ConditionalPmf]:
-    out_alph = Alphabet(tuple(f"{prefix}{i}" for i in range(n_out)))
-    rows = _simplex_grid(n_out, resolution)
-    mats = []
-
-    def rec(chosen):
-        if len(chosen) == n_in:
-            mats.append(ConditionalPmf(alph_in, out_alph, np.array(chosen)))
-            return
-        for r in rows:
-            rec(chosen + [r])
-
-    rec([])
-    return mats
-
-
-def _row_moves(rows: np.ndarray, step: float):
+def _row_moves(rows: np.ndarray, step: float) -> np.ndarray:
     """Neighbor matrices: move `step` mass between two entries of one row."""
     n_in, n_out = rows.shape
-    for i in range(n_in):
-        for j in range(n_out):
-            for k in range(n_out):
-                if j == k or rows[i, k] < step:
-                    continue
-                new = rows.copy()
-                new[i, k] -= step
-                new[i, j] += step
-                yield new
+    moves = []
+    for i, j, k in product(range(n_in), range(n_out), range(n_out)):
+        if j != k and rows[i, k] >= step:
+            new = rows.copy()
+            new[i, k] -= step
+            new[i, j] += step
+            moves.append(new)
+    return np.array(moves).reshape(-1, n_in, n_out)
 
 
 def _search(source: SecureSource, objective, feasible, config: SearchConfig,
             seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
-    """Maximize `objective(tuple)` over schemes subject to `feasible(tuple)`.
+    """Maximize `objective` over schemes subject to `feasible`.
 
+    Both map arrays (R, D, Delta) of a candidate batch to an array.
     Deterministic: candidates come from a fixed coarse grid plus `seeds`,
     and ties resolve by candidate order.
     """
-    a = source.a_alphabet
-    v_channels = _coarse_channels(len(a), a, config.v_size,
-                                  config.grid_resolution, "v")
-    best = None  # (score, order, scheme, tuple)
-    order = 0
+    best = None  # (score, v rows, u rows, reconstruction, (R, D, Delta))
 
-    def consider(v_rows, u_rows, v_alph, u_alph):
-        nonlocal best, order
-        v_ch = ConditionalPmf(a, v_alph, v_rows)
-        u_ch = ConditionalPmf(v_alph, u_alph, u_rows)
-        recon = best_reconstruction(source, v_ch)
-        scheme = AuxScheme(v_ch, u_ch, recon)
-        tup = evaluate_scheme(source, scheme)
-        order += 1
-        if not feasible(tup):
-            return None
-        score = objective(tup)
-        if best is None or score > best[0] + 1e-15:
-            best = (score, order, scheme, tup)
-        return score
+    def consider(v, u):
+        nonlocal best
+        v = v / v.sum(axis=2, keepdims=True)  # row-normalized as ConditionalPmf does
+        u = u / u.sum(axis=2, keepdims=True)
+        rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion, v, u)
+        ok = np.flatnonzero(feasible(rate, dist, delta))
+        for i, score in zip(ok.tolist(), objective(rate, dist, delta)[ok].tolist()):
+            if best is None or score > best[0] + 1e-15:
+                best = (score, v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
 
-    u_alph = Alphabet(tuple(f"u{i}" for i in range(config.u_size)))
-    u_rows_grid = _simplex_grid(config.u_size, config.grid_resolution)
-    u_mats = []
-
-    def rec(chosen):
-        if len(chosen) == config.v_size:
-            u_mats.append(np.array(chosen))
-            return
-        for r in u_rows_grid:
-            rec(chosen + [r])
-
-    rec([])
-
-    for v_ch in v_channels:
-        for u_rows in u_mats:
-            consider(v_ch.rows, u_rows, v_ch.output, u_alph)
+    v_grid = _channel_grid(len(source.a_alphabet), config.v_size,
+                           config.grid_resolution)
+    u_grid = _channel_grid(config.v_size, config.u_size, config.grid_resolution)
+    vs = [np.repeat(v_grid, len(u_grid), axis=0)]
+    us = [np.tile(u_grid, (len(v_grid), 1, 1))]
     for s in seeds:
         if (len(s.v_channel.output) == config.v_size
                 and len(s.u_channel.output) == config.u_size):
-            consider(np.array(s.v_channel.rows), np.array(s.u_channel.rows),
-                     s.v_channel.output, s.u_channel.output)
-
+            vs.append(s.v_channel.rows[None])
+            us.append(s.u_channel.rows[None])
+    consider(np.concatenate(vs), np.concatenate(us))
     if best is None:
         return None
 
-    # Coordinate-wise refinement with step halving.
+    # Coordinate-wise refinement with step halving; each sweep of neighbor
+    # moves around the current best is one batch.
     step = 1.0 / config.grid_resolution
     for _ in range(config.refine_rounds):
         while True:
-            before = best[0]
-            _, _, sch, _ = best
-            v_rows = np.array(sch.v_channel.rows)
-            u_rows = np.array(sch.u_channel.rows)
-            v_alph, u_alph = sch.v_channel.output, sch.u_channel.output
-            for cand in _row_moves(v_rows, step):
-                consider(cand, u_rows, v_alph, u_alph)
-            for cand in _row_moves(u_rows, step):
-                consider(v_rows, cand, v_alph, u_alph)
+            before, v_rows, u_rows = best[:3]
+            v_moves, u_moves = _row_moves(v_rows, step), _row_moves(u_rows, step)
+            nv, nu = len(v_moves), len(u_moves)
+            consider(np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]),
+                     np.concatenate([np.broadcast_to(u_rows, (nv, *u_rows.shape)), u_moves]))
             if best[0] <= before + 1e-15:
                 break
         step /= 2.0
-    _, _, scheme, tup = best
-    return scheme, tup
+    _, v_rows, u_rows, recon, tup = best
+    v_alph = Alphabet(tuple(f"v{i}" for i in range(config.v_size)))
+    u_alph = Alphabet(tuple(f"u{i}" for i in range(config.u_size)))
+    v_channel = ConditionalPmf(source.a_alphabet, v_alph, v_rows)
+    scheme = AuxScheme(v_channel, ConditionalPmf(v_alph, u_alph, u_rows), recon)
+    return scheme, RDETuple(*map(float, tup))
 
 
 def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
@@ -388,34 +355,27 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
         raise InvalidArgument("search config exceeds cardinality caps")
     points = []
     seeds: list[AuxScheme] = []
+    budget = config.rate_budget if config.rate_budget is not None else np.inf
     for d_budget in grid:
         rate_found = _search(
             source,
-            objective=lambda t: -t.rate,
-            feasible=lambda t: t.distortion <= d_budget + 1e-12,
+            objective=lambda r, dist, eq: -r,
+            feasible=lambda r, dist, eq: dist <= d_budget + 1e-12,
             config=config,
             seeds=seeds,
         )
         if rate_found is None:
             continue
-        min_rate = rate_found[1].rate
-        budget = config.rate_budget if config.rate_budget is not None else np.inf
-
-        def feas(t, _d=d_budget, _r=budget):
-            return t.distortion <= _d + 1e-12 and t.rate <= _r + 1e-9
-
         delta_found = _search(
             source,
-            objective=lambda t: t.equivocation,
-            feasible=feas,
+            objective=lambda r, dist, eq: eq,
+            feasible=lambda r, dist, eq: (dist <= d_budget + 1e-12) & (r <= budget + 1e-9),
             config=config,
             seeds=seeds + [rate_found[0]],
         )
         if delta_found is None:
             continue
         scheme, tup = delta_found
-        points.append((d_budget,
-                       RDETuple(min_rate, tup.distortion, tup.equivocation),
-                       scheme))
+        points.append((d_budget, tup, scheme))
         seeds = [scheme, rate_found[0]]
     return BoundaryCurve(points, config)

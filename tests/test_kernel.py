@@ -1,0 +1,144 @@
+"""The batched region kernel against the JointPmf reference path."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from secrd.binary import BecBscParams, build_source
+from secrd.ordering import less_noisy_search
+from secrd.probs import (
+    Alphabet,
+    ConditionalPmf,
+    JointPmf,
+    batch_entropy,
+    conditional_entropy,
+    joint_from,
+    mutual_information,
+)
+from secrd.region import (
+    AuxScheme,
+    SecureSource,
+    best_reconstruction,
+    evaluate_scheme,
+    materialize,
+    rde_batch,
+)
+
+
+def _labels(prefix, n):
+    return Alphabet(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def _stochastic(rng, n_in, n_out):
+    """Random channel rows; some rows deterministic, some entries zero."""
+    rows = rng.dirichlet(np.ones(n_out), size=n_in)
+    for i in range(n_in):
+        kind = rng.integers(3)
+        if kind == 0:
+            rows[i] = np.eye(n_out)[rng.integers(n_out)]
+        elif kind == 1 and n_out > 1:
+            rows[i, rng.integers(n_out)] = 0.0
+            rows[i] /= rows[i].sum()
+    return rows
+
+
+def _random_source(rng):
+    shape = (int(rng.choice([2, 3])), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    mass = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    if rng.random() < 0.3:
+        mass[rng.integers(shape[0])] = 0.0       # a zero-mass A symbol
+    if rng.random() < 0.3:
+        mass[:, rng.integers(shape[1])] = 0.0    # a zero-mass B symbol
+    mass.ravel()[rng.random(mass.size) < 0.2] = 0.0
+    if mass.sum() == 0.0:
+        mass[0, 0, 0] = 1.0
+    mass /= mass.sum()
+    axes = [(n, _labels(n.lower(), k)) for n, k in zip("ABE", shape)]
+    order = rng.permutation(3) if rng.random() < 0.2 else np.arange(3)
+    joint = JointPmf(tuple(axes[i] for i in order), mass.transpose(order))
+    d = rng.random((shape[0], shape[0]))
+    np.fill_diagonal(d, 0.0)
+    return SecureSource(joint, d, d_max=1.0)
+
+
+def _mass(joint, names):
+    """Marginal mass of `joint` on `names`, axes in the order given."""
+    marg = joint.marginal(names)
+    return np.transpose(marg.mass, [marg.names.index(n) for n in names])
+
+
+def _reference(source, v_rows, u_rows):
+    """(R, D, Delta) the pre-kernel way: one materialized JointPmf per scheme."""
+    v_channel = ConditionalPmf(source.a_alphabet, _labels("v", v_rows.shape[1]), v_rows)
+    u_channel = ConditionalPmf(v_channel.output, _labels("u", u_rows.shape[1]), u_rows)
+    p_abv = _mass(joint_from(source.joint, [("V", v_channel, "A")]), ("A", "B", "V"))
+    _, nb, nv = p_abv.shape
+    recon = np.zeros((nv, nb), dtype=int)
+    dist = 0.0
+    for v, b in product(range(nv), range(nb)):
+        costs = p_abv[:, b, v] @ source.distortion
+        recon[v, b] = int(np.argmin(costs))
+        dist += float(costs[recon[v, b]])
+    joint = materialize(source, AuxScheme(v_channel, u_channel, recon))
+    rate = mutual_information(joint, ("V",), ("A",), ("B",))
+    delta = (conditional_entropy(joint, ("A",), ("V", "B"))
+             + mutual_information(joint, ("A",), ("B",), ("U",))
+             - mutual_information(joint, ("A",), ("E",), ("U",)))
+    return (rate, dist, max(0.0, delta)), AuxScheme(v_channel, u_channel, recon)
+
+
+def test_batch_entropy_ignores_zero_mass():
+    p = np.array([[[0.5, 0.5], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    np.testing.assert_allclose(batch_entropy(p), [1.0, 0.0], atol=1e-15)
+
+
+def test_kernel_matches_jointpmf_path():
+    rng = np.random.default_rng(20100917)
+    for _ in range(200):
+        source = _random_source(rng)
+        na = len(source.a_alphabet)
+        nv, nu = (int(x) for x in rng.integers(1, 4, size=2))
+        v = np.array([_stochastic(rng, na, nv) for _ in range(3)])
+        u = np.array([_stochastic(rng, nv, nu) for _ in range(3)])
+        rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion, v, u)
+        for k in range(3):
+            want, scheme = _reference(source, v[k], u[k])
+            got = (rate[k], dist[k], delta[k])
+            assert got == pytest.approx(want, abs=1e-12)
+            assert tuple(evaluate_scheme(source, scheme)) == pytest.approx(want, abs=1e-12)
+            # the kernel's map is optimal: it costs what the reference map costs
+            kernel_scheme = AuxScheme(scheme.v_channel, scheme.u_channel, recon[k])
+            assert evaluate_scheme(source, kernel_scheme).distortion == pytest.approx(
+                want[1], abs=1e-12)
+            np.testing.assert_array_equal(
+                best_reconstruction(source, scheme.v_channel), recon[k])
+
+
+def _violation(source, rows):
+    """I(U;E) - I(U;B) for the channel A -> U with the given rows."""
+    channel = ConditionalPmf(source.a_alphabet, _labels("u", rows.shape[1]), rows)
+    joint = joint_from(source.joint, [("U", channel, "A")])
+    return (mutual_information(joint, ("U",), ("E",))
+            - mutual_information(joint, ("U",), ("B",)))
+
+
+@pytest.mark.parametrize("case", [0.2, 0.3, 0.4, 0.6, 0.9, "ternary-0", "ternary-1"])
+def test_less_noisy_search_matches_per_channel_reference(case):
+    resolution = 10
+    if isinstance(case, float):
+        source = build_source(BecBscParams(0.1, case))
+    else:
+        rng = np.random.default_rng(int(case[-1]))
+        mass = rng.dirichlet(np.ones(12)).reshape(3, 2, 2)
+        axes = tuple((n, _labels(n.lower(), k)) for n, k in zip("ABE", mass.shape))
+        source = SecureSource(JointPmf(axes, mass), 1.0 - np.eye(3))
+    grid = [(c / resolution, (resolution - c) / resolution) for c in range(resolution + 1)]
+    worst = max(_violation(source, np.array(rows))
+                for rows in product(grid, repeat=len(source.a_alphabet)))
+    tag, witness = less_noisy_search(source, resolution=resolution)
+    if worst > 1e-9:
+        assert tag == "counterexample"
+        assert _violation(source, witness.rows) == pytest.approx(worst, abs=1e-12)
+    else:
+        assert (tag, witness) == ("no-violation", resolution)

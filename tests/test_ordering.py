@@ -1,8 +1,14 @@
 """Unit tests for side-information channel ordering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import secrd
 from secrd.binary import BecBscParams, build_source
 from secrd.ordering import (
     OrderingVerdict,
@@ -119,3 +125,13 @@ def test_side_channels_recover_constructors():
     ch_b, ch_e = side_channels(src)
     np.testing.assert_allclose(ch_b.rows, bec(0.4).rows, atol=1e-12)
     np.testing.assert_allclose(ch_e.rows, bsc(0.1).rows, atol=1e-12)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported on the first degradedness test, not with secrd
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(secrd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, secrd; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

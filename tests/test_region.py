@@ -190,7 +190,18 @@ class TestBoundarySearch:
         for d_budget, tup, scheme in curve.points:
             again = evaluate_scheme(src, scheme)
             assert again.distortion <= d_budget + 1e-9
+            assert tup.rate == pytest.approx(again.rate, abs=1e-9)
+            assert tup.distortion == pytest.approx(again.distortion, abs=1e-9)
             assert tup.equivocation == pytest.approx(again.equivocation, abs=1e-9)
+
+    def test_printed_rate_is_the_stored_schemes_rate(self):
+        # The minimal rate at D = 0.03 (0.552) is not the rate of the
+        # equivocation-maximizing scheme that is stored with the point (0.7).
+        src = build_source(BecBscParams(p=0.1, eps=0.7))
+        cfg = SearchConfig(grid_resolution=3, refine_rounds=6, rate_budget=0.9)
+        (_, tup, scheme), = sweep_boundary(src, [0.03], cfg).points
+        assert tup.rate == pytest.approx(0.7, abs=1e-9)
+        assert tuple(tup) == pytest.approx(tuple(evaluate_scheme(src, scheme)), abs=1e-12)
 
     def test_infeasible_budget_dropped(self):
         src = build_source(PARAMS)
