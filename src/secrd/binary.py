@@ -20,15 +20,14 @@ from .probs import (
     Alphabet,
     InvalidArgument,
     JointPmf,
-    bec,
     binary_entropy,
     binary_star,
     bsc,
-    joint_from,
 )
 from .region import AuxScheme, RDETuple, SecureSource, evaluate_scheme
 
 BITS = Alphabet(("0", "1"))
+ERASED_BITS = Alphabet(("0", "e", "1"))  # the BEC output alphabet
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,11 @@ class CurvePoint:
 
 def build_source(params: BecBscParams) -> SecureSource:
     """Uniform binary A, B = BEC(eps)(A), E = BSC(p)(A), Hamming distortion."""
-    uniform = JointPmf((("A", BITS),), np.array([0.5, 0.5]))
-    joint = joint_from(
-        uniform,
-        [("B", bec(params.eps), "A"), ("E", bsc(params.p), "A")],
-    )
+    eps, p = params.eps, params.p
+    to_b = np.array([[1 - eps, eps, 0.0], [0.0, eps, 1 - eps]])
+    to_e = np.array([[1 - p, p], [p, 1 - p]])
+    joint = JointPmf((("A", BITS), ("B", ERASED_BITS), ("E", BITS)),
+                     (0.5 * to_b)[:, :, None] * to_e[:, None, :])
     hamming = np.array([[0.0, 1.0], [1.0, 0.0]])
     return SecureSource(joint, hamming, d_max=1.0)
 

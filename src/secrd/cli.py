@@ -201,15 +201,9 @@ def cmd_simulate(args) -> int:
     source = binary_mod.build_source(params)
     scheme = binary_mod.aux_scheme(
         params, binary_mod.BinaryScheme(args.alpha, args.beta))
-    na = len(source.a_alphabet)
-    if na ** args.n > simulate.ENUM_LIMIT:
-        print(f"error: |A|^n = {na ** args.n} exceeds enumeration limit "
-              f"{simulate.ENUM_LIMIT}", file=sys.stderr)
-        return EXIT_RESOURCE
     rates = simulate.achievability_rates(source, scheme, slack=args.slack)
     cfg = simulate.SimConfig(n=args.n, rates=rates, trials=args.trials,
-                             seed=args.seed, typ_tol=args.typ_tol,
-                             typ_mode=args.mode)
+                             seed=args.seed)
     summary = simulate.run_trials(source, scheme, cfg)
     header = (f"# n={args.n} trials={args.trials} seed={args.seed} "
               f"mean_distortion={summary.mean_distortion:.6f} "
@@ -275,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--slack", type=float, default=0.1)
-    p_sim.add_argument("--typ-tol", type=float, default=0.1, dest="typ_tol")
-    p_sim.add_argument("--mode", choices=("ml", "strong", "entropy"),
-                       default="ml", help="codeword matching convention")
     common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -296,9 +287,6 @@ def main(argv=None) -> int:
     except simulate.ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except simulate.DegenerateParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -7,18 +7,13 @@ resolves each bin with Bob's side information. Per-trial equivocation is
 computed exactly by enumerating every source sequence consistent with
 the transmitted message.
 
-Three matching conventions are available. The default, "ml", picks the
-jointly most likely codeword pair at the encoder, and decodes by exact
-MAP over codeword pairs in the transmitted bins: each pair is scored by
-the posterior mass of the source sequences that encode to it, reusing
-the same enumeration that the equivocation computation needs. Decode
-success means the encoder's codeword indices were recovered. "strong"
-(absolute per-cell frequency tests) and "entropy" (log-loss tests)
-implement classical typicality thresholds instead; at the very short
-blocklengths this module targets, both suffer from count granularity —
-the typical set can be empty — so they are kept for reference rather
-than as the default. Blocklengths are capped so that |A|^n enumeration
-stays cheap.
+The encoder picks the jointly most likely codeword pair (maximum
+likelihood), and the decoder is exact MAP over codeword pairs in the
+transmitted bins: each pair is scored by the posterior mass of the
+source sequences that encode to it, reusing the same enumeration that
+the equivocation computation needs. Decode success means the encoder's
+codeword indices were recovered. Blocklengths are capped so that |A|^n
+enumeration stays cheap.
 """
 
 from __future__ import annotations
@@ -33,15 +28,10 @@ from .probs import InvalidArgument, JointPmf, mutual_information
 from .region import AuxScheme, SecureSource, materialize
 
 ENUM_LIMIT = 1 << 14
-ATTEMPT_CAP = 100_000
 
 
 class ResourceLimit(RuntimeError):
     """Raised when a configuration exceeds the enumeration/memory budget."""
-
-
-class DegenerateParameters(RuntimeError):
-    """Raised when rejection sampling cannot produce a typical word."""
 
 
 @dataclass(frozen=True)
@@ -62,19 +52,13 @@ class SimConfig:
     rates: SimRates
     trials: int
     seed: int
-    typ_tol: float = 0.1
-    typ_mode: str = "ml"    # "ml", "strong" (per-cell), or "entropy" (log-loss)
     max_codewords: int = 1 << 16
 
     def __post_init__(self):
         if self.n <= 0:
             raise InvalidArgument("blocklength must be positive")
-        if self.typ_tol <= 0:
-            raise InvalidArgument("typicality tolerance must be positive")
         if self.trials < 0:
             raise InvalidArgument("trial count must be nonnegative")
-        if self.typ_mode not in ("ml", "strong", "entropy"):
-            raise InvalidArgument(f"unknown matching mode {self.typ_mode!r}")
 
 
 def achievability_rates(source: SecureSource, scheme: AuxScheme,
@@ -100,35 +84,6 @@ def _count(rate: float, n: int) -> int:
     return max(1, int(round(2.0 ** (n * rate))))
 
 
-def _match(freq: np.ndarray, pmf: np.ndarray, tol: float, mode: str) -> np.ndarray:
-    """Typicality of empirical cell frequencies against a target pmf.
-
-    `freq` may carry leading batch dimensions; the trailing dimensions are
-    the pmf cells. "strong" compares per-cell frequencies with an absolute
-    tolerance; "entropy" compares the empirical log-loss -sum f log2 p
-    against H(p), which is free of the 1/n count granularity that makes
-    per-cell tests erratic at very small blocklengths.
-    """
-    cells = pmf.ndim
-    batch = freq.shape[: freq.ndim - cells]
-    f = freq.reshape(batch + (-1,))
-    p = pmf.ravel()
-    if mode == "strong":
-        return np.all(np.abs(f - p) <= tol, axis=-1)
-    if mode != "entropy":
-        raise InvalidArgument(f"unknown typicality mode {mode!r}")
-    support = p > 0
-    ok = np.all(f[..., ~support] <= 0, axis=-1)
-    logp = np.log2(p[support])
-    stat = -(f[..., support] @ logp)
-    h = float(-(p[support] * logp).sum())
-    return ok & (np.abs(stat - h) <= tol)
-
-
-def _onehot(seq: np.ndarray, size: int) -> np.ndarray:
-    return np.eye(size)[seq]
-
-
 _LOG_FLOOR = -1e30
 SCORE_TOL = 1e-9
 
@@ -136,6 +91,16 @@ SCORE_TOL = 1e-9
 def _safe_log2(p: np.ndarray) -> np.ndarray:
     """log2 with zero cells mapped to a large negative sentinel."""
     return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), _LOG_FLOOR)
+
+
+def _words(size: int, n: int) -> np.ndarray:
+    """All size**n words of length n, in lexicographic (base-`size`) order."""
+    return np.arange(size ** n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
+
+
+def _onehot_words(size: int, n: int) -> np.ndarray:
+    """(n*size, size**n) matrix: column t is the one-hot of the t-th word."""
+    return np.eye(size)[_words(size, n)].reshape(size ** n, n * size).T
 
 
 @dataclass
@@ -147,7 +112,7 @@ class Codebook:
     cfg: SimConfig
     u_words: np.ndarray = field(init=False)       # (M1, n) int
     u_bins: np.ndarray = field(init=False)        # (M1,) int
-    v_words: list[np.ndarray] = field(init=False)  # per u: (M2, n) int
+    v_words: np.ndarray = field(init=False)       # (M1, M2, n) int
     v_bins: np.ndarray = field(init=False)        # (M2,) int, shared layout
     joint: JointPmf = field(init=False)
     _encode_map: np.ndarray | None = field(init=False, default=None)
@@ -159,25 +124,17 @@ class Codebook:
     def __post_init__(self):
         cfg = self.cfg
         self.joint = materialize(self.source, self.scheme)
-        nu = len(self.scheme.u_channel.output)
-        nv = len(self.scheme.v_channel.output)
         p_uv = self.joint.marginal(("V", "U")).mass  # axes order (V, U)
         self.p_u = p_uv.sum(axis=0)
         self.p_v_given_u = (p_uv / np.where(self.p_u > 0, self.p_u, 1.0)).T
-        self.p_ua = self.joint.marginal(("A", "U")).mass.T      # (U, A)
-        self.p_ub = self.joint.marginal(("B", "U")).mass.T      # (U, B)
         p_avu = self.joint.marginal(("A", "B", "V", "U")).mass
-        self.p_uva = p_avu.sum(axis=1).transpose(2, 1, 0)       # (U, V, A)
-        self.p_uvb = p_avu.sum(axis=0).transpose(2, 1, 0)       # (U, V, B)
-        self.log_uva = _safe_log2(self.p_uva)
-        self.log_ub = _safe_log2(self.p_ub)
-        self.log_uvb = _safe_log2(self.p_uvb)
-        p_abe = self.source.joint.mass
+        self.log_uva = _safe_log2(p_avu.sum(axis=1).transpose(2, 1, 0))
+        p_abe = self.source.p_abe
         p_a = p_abe.sum(axis=(1, 2))
         self.log_a = _safe_log2(p_a)
-        with np.errstate(invalid="ignore"):
-            pb_a = p_abe.sum(axis=2) / np.where(p_a > 0, p_a, 1.0)[:, None]
-        self.log_b_given_a = _safe_log2(pb_a)
+        given_a = np.where(p_a > 0, p_a, 1.0)[:, None]
+        self.log_b_given_a = _safe_log2(p_abe.sum(axis=2) / given_a)
+        self.log_e_given_a = _safe_log2(p_abe.sum(axis=1) / given_a)
 
         m1 = _count(cfg.rates.s1, cfg.n)
         m2 = _count(cfg.rates.s2, cfg.n)
@@ -187,116 +144,44 @@ class Codebook:
             raise ResourceLimit(
                 f"codebook of {m1}x{m2} codewords exceeds budget {cfg.max_codewords}"
             )
+        # i.i.d. draws: all u-words first, then the v-words of each u-word
+        # in index order, each letter by inverting p(v | u_i)'s cdf.
         rng = np.random.default_rng(cfg.seed)
-        self.u_words = np.stack(
-            [self._draw(rng, self.p_u, None, nu) for _ in range(m1)]
-        )
+        self.u_words = rng.choice(len(self.p_u), size=(m1, cfg.n), p=self.p_u)
+        cum = self.p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
+        draws = rng.random((m1, m2, cfg.n))
+        self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)
         self.u_bins = np.arange(m1) % n1
-        self.v_words = []
-        for s1 in range(m1):
-            words = np.stack(
-                [self._draw(rng, None, self.u_words[s1], nv) for _ in range(m2)]
-            )
-            self.v_words.append(words)
         self.v_bins = np.arange(m2) % n2
         self.n_bins = (n1, n2)
-
-    def _draw(self, rng, marginal, u_word, size) -> np.ndarray:
-        """Draw one word: i.i.d. in "ml" mode, rejection-sampled otherwise."""
-        n, tol = self.cfg.n, self.cfg.typ_tol
-        if self.cfg.typ_mode == "ml":
-            if u_word is None:
-                return rng.choice(size, size=n, p=marginal)
-            cum = self.p_v_given_u[u_word].cumsum(axis=1)
-            return (rng.random(n)[:, None] > cum).sum(axis=1)
-        for _ in range(ATTEMPT_CAP):
-            if u_word is None:
-                seq = rng.choice(size, size=n, p=marginal)
-                if _match(_onehot(seq, size).mean(axis=0), self.p_u, tol,
-                          self.cfg.typ_mode):
-                    return seq
-            else:
-                probs = self.p_v_given_u[u_word]
-                cum = probs.cumsum(axis=1)
-                seq = (rng.random(n)[:, None] > cum).sum(axis=1)
-                if self.cfg.typ_mode == "entropy":
-                    # Conditional log-loss against the conditional entropy
-                    # averaged over the fixed u word's own empirical type,
-                    # so the target is achievable whatever that type is.
-                    cond = probs[np.arange(n), seq]
-                    if np.all(cond > 0):
-                        stat = float(-np.log2(cond).mean())
-                        with np.errstate(divide="ignore"):
-                            logq = np.where(self.p_v_given_u > 0,
-                                            np.log2(np.where(
-                                                self.p_v_given_u > 0,
-                                                self.p_v_given_u, 1.0)), 0.0)
-                        h_rows = -(self.p_v_given_u * logq).sum(axis=1)
-                        target = float(h_rows[u_word].mean())
-                        if abs(stat - target) <= tol:
-                            return seq
-                else:
-                    pair = _onehot(u_word, len(self.p_u))[:, :, None] \
-                        * _onehot(seq, size)[:, None, :]
-                    if _match(pair.mean(axis=0),
-                              self.p_v_given_u * self.p_u[:, None], tol,
-                              self.cfg.typ_mode):
-                        return seq
-        raise DegenerateParameters("rejection sampling failed to find a typical word")
 
     # -- encoding ----------------------------------------------------------
 
     def encode(self, a_seq: np.ndarray) -> tuple[tuple[int, int], bool]:
         """Codeword pair for one source word, as a bin-index message.
 
-        "ml" mode returns the bins of the pair maximizing the joint
-        likelihood of (u, v, a); success means that likelihood is nonzero.
-        Threshold modes return the first jointly typical pair in index
-        order, skipping u-words whose v-lists contain no conditionally
-        typical codeword; fallback message (0, 0) on total failure.
+        The pair is the one `encode_all` picks for the word: it maximizes
+        the joint likelihood of (u, v, a), and success means that
+        likelihood is nonzero.
         """
-        n, tol = self.cfg.n, self.cfg.typ_tol
+        messages, ok, _ = self.encode_all()
         na = len(self.source.a_alphabet)
-        a = np.asarray(a_seq)
-        if self.cfg.typ_mode == "ml":
-            (s1, s2), score = self._ml_pair(a)
-            ok = score > _LOG_FLOOR / 2
-            return (int(self.u_bins[s1]), int(self.v_bins[s2])), bool(ok)
-        a_oh = _onehot(a, na)
-        for s1, u in enumerate(self.u_words):
-            u_oh = _onehot(u, len(self.p_u))
-            freq_ua = (u_oh[:, :, None] * a_oh[:, None, :]).mean(axis=0)
-            if not _match(freq_ua, self.p_ua, tol, self.cfg.typ_mode):
-                continue
-            for s2, v in enumerate(self.v_words[s1]):
-                v_oh = _onehot(v, self.p_v_given_u.shape[1])
-                freq = (u_oh[:, :, None, None] * v_oh[:, None, :, None]
-                        * a_oh[:, None, None, :]).mean(axis=0)
-                if _match(freq, self.p_uva, tol, self.cfg.typ_mode):
-                    return (int(self.u_bins[s1]), int(self.v_bins[s2])), True
-        return (0, 0), False
-
-    def _ml_pair(self, a_seq: np.ndarray) -> tuple[tuple[int, int], float]:
-        """Codeword pair maximizing sum_i log p(u_i, v_i, a_i).
-
-        Ties (within SCORE_TOL, which also absorbs summation-order noise)
-        break to the lowest codeword index pair.
-        """
-        best = (-np.inf, 0, 0)
-        for s1, u in enumerate(self.u_words):
-            scores = self.log_uva[u[None, :], self.v_words[s1],
-                                  a_seq[None, :]].sum(axis=1)
-            top = float(scores.max())
-            s2 = int(np.argmax(scores >= top - SCORE_TOL))
-            if top > best[0] + SCORE_TOL:
-                best = (top, s1, s2)
-        return (best[1], best[2]), best[0]
+        idx = int(np.ravel_multi_index(tuple(np.asarray(a_seq)), (na,) * self.cfg.n))
+        r1, r2 = divmod(int(messages[idx]), self.n_bins[1])
+        return (r1, r2), bool(ok[idx])
 
     def encode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Encode every source sequence once; cached.
 
         Returns (messages, ok, seqs): messages[i] is a packed message id
         for the i-th enumerated sequence, ok[i] the encode-success flag.
+
+        Each sequence gets the codeword pair maximizing
+        sum_i log p(u_i, v_i, a_i). The u-words are visited in index order:
+        a u-word's best score is the top over its v-words, reached first
+        (within SCORE_TOL) at the lowest v index, and it replaces the best
+        so far only if it beats it by more than SCORE_TOL. SCORE_TOL also
+        absorbs summation-order noise.
         """
         if self._encode_map is not None:
             return self._encode_map, self._encode_ok, self._all_seqs
@@ -306,130 +191,69 @@ class Codebook:
         total = na ** n
         if total > ENUM_LIMIT:
             raise ResourceLimit(f"|A|^n = {total} exceeds enumeration limit")
-        digits = np.arange(total)
-        seqs = np.empty((total, n), dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            seqs[:, i] = digits % na
-            digits //= na
-        tol = self.cfg.typ_tol
-        a_oh = np.eye(na)[seqs]                       # (T, n, A)
-        if self.cfg.typ_mode == "ml":
-            m2 = len(self.v_bins)
-            pos = np.arange(n)
-            best = np.full(total, -np.inf)
-            best_s1 = np.zeros(total, dtype=np.int64)
-            best_s2 = np.zeros(total, dtype=np.int64)
-            for s1, u in enumerate(self.u_words):
-                lv = self.log_uva[u][pos[None, :], self.v_words[s1]]  # (M2,n,A)
-                scores = np.einsum("mia,tia->mt", lv, a_oh)
-                top = scores.max(axis=0)
-                s2 = np.argmax(scores >= top[None, :] - SCORE_TOL, axis=0)
-                gain = top > best + SCORE_TOL
-                best[gain] = top[gain]
-                best_s1[gain] = s1
-                best_s2[gain] = s2[gain]
-            self._encode_map = (self.u_bins[best_s1] * self.n_bins[1]
-                                + self.v_bins[best_s2])
-            self._encode_ok = best > _LOG_FLOOR / 2
-            self._encode_idx = best_s1 * m2 + best_s2
-            self._all_seqs = seqs
-            self._log_prior = self.log_a[seqs].sum(axis=1)
-            return self._encode_map, self._encode_ok, self._all_seqs
-        nu = len(self.p_u)
-        u_oh = np.eye(nu)[self.u_words]               # (M1, n, U)
-        # per-cell counts between every u-word and every a-seq, in chunks
-        ok_ua = np.empty((len(self.u_words), total), dtype=bool)
-        for lo in range(0, total, 2048):
-            hi = min(lo + 2048, total)
-            freq = np.einsum("mix,tiy->mtxy", u_oh, a_oh[lo:hi]) / n
-            ok_ua[:, lo:hi] = _match(freq, self.p_ua, tol, self.cfg.typ_mode)
-
-        messages = np.zeros(total, dtype=np.int64)
-        ok = np.zeros(total, dtype=bool)
-        enc_idx = np.zeros(total, dtype=np.int64)
-        nv = self.p_v_given_u.shape[1]
-        unresolved = np.ones(total, dtype=bool)
-        for s1 in range(len(self.u_words)):
-            idx = np.nonzero(unresolved & ok_ua[s1])[0]
-            if idx.size == 0:
-                continue
-            v_oh = np.eye(nv)[self.v_words[s1]]       # (M2, n, V)
-            uo = u_oh[s1]                             # (n, U)
-            sub = a_oh[idx]                           # (t, n, A)
-            cells = np.einsum("ix,miy,tiz->mtxyz", uo, v_oh, sub) / n
-            okm = _match(cells, self.p_uva, tol, self.cfg.typ_mode)  # (M2, t)
-            has = okm.any(axis=0)
-            s2 = okm.argmax(axis=0)
-            msg = self.u_bins[s1] * self.n_bins[1] + self.v_bins[s2]
-            hit = idx[has]
-            messages[hit] = msg[has]
-            ok[hit] = True
-            enc_idx[hit] = s1 * len(self.v_bins) + s2[has]
-            unresolved[hit] = False
-        self._encode_map = messages
-        self._encode_ok = ok
-        self._encode_idx = enc_idx
+        seqs = _words(na, n)
+        # Meet in the middle: in lexicographic order, the score of sequence
+        # t = tl * |A|^(n-h) + tr is left[tl] + right[tr], a sum over its
+        # first h and its last n - h letters.
+        h = n // 2
+        left_oh, right_oh = _onehot_words(na, h), _onehot_words(na, n - h)
+        n_right = right_oh.shape[1]
+        m2 = len(self.v_bins)
+        pos = np.arange(n)
+        best = np.full(total, -np.inf)
+        best_s1 = np.zeros(total, dtype=np.int64)
+        best_s2 = np.zeros(total, dtype=np.int64)
+        for s1, u in enumerate(self.u_words):
+            lv = self.log_uva[u][pos, self.v_words[s1]]       # (M2, n, A)
+            left = lv[:, :h].reshape(m2, -1) @ left_oh        # (M2, A^h)
+            right = lv[:, h:].reshape(m2, -1) @ right_oh      # (M2, A^(n-h))
+            # max left + max right bounds every v-word's score, so only the
+            # sequences where that bound beats the best so far can gain.
+            bound = np.add.outer(left.max(axis=0), right.max(axis=0)).ravel()
+            thresh = best + SCORE_TOL
+            cand = np.flatnonzero(bound > thresh)
+            scores = left[:, cand // n_right] + right[:, cand % n_right]
+            top = scores.max(axis=0)
+            gain = top > thresh[cand]
+            hit, top = cand[gain], top[gain]
+            best[hit] = top
+            best_s1[hit] = s1
+            best_s2[hit] = np.argmax(scores[:, gain] >= top - SCORE_TOL, axis=0)
+        self._encode_map = (self.u_bins[best_s1] * self.n_bins[1]
+                            + self.v_bins[best_s2])
+        self._encode_ok = best > _LOG_FLOOR / 2
+        self._encode_idx = best_s1 * m2 + best_s2
         self._all_seqs = seqs
         self._log_prior = self.log_a[seqs].sum(axis=1)
-        return messages, ok, seqs
+        return self._encode_map, self._encode_ok, self._all_seqs
 
     # -- decoding ----------------------------------------------------------
 
     def decode(self, message: tuple[int, int], b_seq: np.ndarray):
         """Reconstruction from the bin pair and Bob's sequence.
 
-        In "ml" mode the bin pair is resolved by exact MAP: every codeword
-        pair in the bins is scored by the posterior mass of the source
-        sequences that encode to it, weighted by p(b | a); the result is
-        (a_hat_seq, (s1, s2)) and the caller judges success by comparing
-        the indices with the encoder's. In threshold modes the bin member
-        must be uniquely typical, and the result is (a_hat_seq, None) on
-        success or (None, stage_tag) on failure.
+        The bin pair is resolved by exact MAP: every codeword pair in the
+        bins is scored by the posterior mass of the source sequences that
+        encode to it, weighted by p(b | a). Returns (a_hat_seq, (s1, s2));
+        the caller judges success by comparing the indices with the
+        encoder's.
         """
         r1, r2 = message
-        n, tol = self.cfg.n, self.cfg.typ_tol
         b = np.asarray(b_seq)
-        if self.cfg.typ_mode == "ml":
-            self.encode_all()
-            loglik = self.log_b_given_a[self._all_seqs, b[None, :]].sum(axis=1)
-            logw = self._log_prior + loglik
-            w = np.exp2(logw - logw.max())
-            m2 = len(self.v_bins)
-            n_pairs = len(self.u_words) * m2
-            scores = np.bincount(self._encode_idx, weights=w,
-                                 minlength=n_pairs)
-            in_bins = ((self.u_bins[:, None] == r1)
-                       & (self.v_bins[None, :] == r2)).ravel()
-            scores = np.where(in_bins, scores, -1.0)
-            pair = int(np.argmax(scores >= scores.max() - SCORE_TOL))
-            s1, s2 = divmod(pair, m2)
-            v = self.v_words[s1][s2]
-            return self.scheme.reconstruction[v, b], (s1, s2)
-        nb = len(self.source.b_alphabet)
-        b_oh = _onehot(b, nb)
-        candidates = []
-        for s1 in np.nonzero(self.u_bins == r1)[0]:
-            u_oh = _onehot(self.u_words[s1], len(self.p_u))
-            freq = (u_oh[:, :, None] * b_oh[:, None, :]).mean(axis=0)
-            if _match(freq, self.p_ub, tol, self.cfg.typ_mode):
-                candidates.append(s1)
-        if len(candidates) != 1:
-            return None, "stage1"
-        s1 = candidates[0]
-        u_oh = _onehot(self.u_words[s1], len(self.p_u))
-        nv = self.p_v_given_u.shape[1]
-        found = []
-        for s2 in np.nonzero(self.v_bins == r2)[0]:
-            v_oh = _onehot(self.v_words[s1][s2], nv)
-            freq = (u_oh[:, :, None, None] * v_oh[:, None, :, None]
-                    * b_oh[:, None, None, :]).mean(axis=0)
-            if _match(freq, self.p_uvb, tol, self.cfg.typ_mode):
-                found.append(s2)
-        if len(found) != 1:
-            return None, "stage2"
-        v = self.v_words[s1][found[0]]
-        a_hat = self.scheme.reconstruction[v, np.asarray(b_seq)]
-        return a_hat, None
+        self.encode_all()
+        loglik = self.log_b_given_a[self._all_seqs, b[None, :]].sum(axis=1)
+        logw = self._log_prior + loglik
+        w = np.exp2(logw - logw.max())
+        m2 = len(self.v_bins)
+        n_pairs = len(self.u_words) * m2
+        scores = np.bincount(self._encode_idx, weights=w, minlength=n_pairs)
+        in_bins = ((self.u_bins[:, None] == r1)
+                   & (self.v_bins[None, :] == r2)).ravel()
+        scores = np.where(in_bins, scores, -1.0)
+        pair = int(np.argmax(scores >= scores.max() - SCORE_TOL))
+        s1, s2 = divmod(pair, m2)
+        v = self.v_words[s1][s2]
+        return self.scheme.reconstruction[v, b], (s1, s2)
 
 
 def exact_equivocation(codebook: Codebook, message_id: int,
@@ -439,18 +263,12 @@ def exact_equivocation(codebook: Codebook, message_id: int,
     idx = np.nonzero(messages == message_id)[0]
     if idx.size == 0:
         raise InvalidArgument("message has an empty source preimage")
-    src = codebook.source
-    p_a = src.joint.marginal(("A",)).mass
-    p_ae = src.joint.marginal(("A", "E")).mass
-    p_e_given_a = p_ae / p_a[:, None]
     sub = seqs[idx]
     e = np.asarray(e_seq)
-    # log-posterior ∝ sum_i log p(a_i) + log p(e_i | a_i)
-    logp = np.log(np.where(p_a > 0, p_a, 1.0))[sub].sum(axis=1)
-    lik = np.log(np.clip(p_e_given_a[sub, e[None, :]], 1e-300, None)).sum(axis=1)
-    w = logp + lik
-    w -= w.max()
-    post = np.exp(w)
+    # log2-posterior up to a constant: sum_i log2 p(a_i) + log2 p(e_i | a_i)
+    w = (codebook.log_a[sub].sum(axis=1)
+         + codebook.log_e_given_a[sub, e[None, :]].sum(axis=1))
+    post = np.exp2(w - w.max())
     post /= post.sum()
     nz = post[post > 0]
     return float(-(nz * np.log2(nz)).sum()) / codebook.cfg.n
@@ -490,19 +308,22 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
 
     Each trial draws (a, b, e) i.i.d. per letter from the source,
     encodes, decodes with b, and evaluates Eve's exact residual entropy.
-    Decode failures contribute d_max to the distortion. Deterministic
-    given the config: per-trial seeds derive from the master seed.
+    A decode failure (a codeword pair other than the encoder's) still
+    reconstructs from the decoded pair. Deterministic given the config:
+    per-trial seeds derive from the master seed.
     """
     if cfg.trials == 0:
         return TrialSummary([], 0.0, 0.0, 0.0, 0.0)
     codebook = Codebook(source, scheme, cfg)
-    messages, enc_ok, seqs = codebook.encode_all()
+    messages, enc_ok, _ = codebook.encode_all()
 
-    p_abe = source.joint.mass  # (A, B, E)
+    p_abe = source.p_abe
     na, nb, ne = p_abe.shape
     p_a = p_abe.sum(axis=(1, 2))
     p_be_given_a = p_abe / p_a[:, None, None]
-    flat_be = p_be_given_a.reshape(na, nb * ne)
+    # the (b, e) cdf per letter a, normalized as Generator.choice does
+    cdf_be = p_be_given_a.reshape(na, nb * ne).cumsum(axis=1)
+    cdf_be /= cdf_be[:, -1:]
     d = source.distortion
 
     records = []
@@ -512,23 +333,18 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     for t in range(cfg.trials):
         rng = np.random.default_rng(child_seeds[t])
         a_seq = rng.choice(na, size=cfg.n, p=p_a)
-        be = np.array([rng.choice(nb * ne, p=flat_be[a]) for a in a_seq])
+        # one choice(nb * ne, p=p(b, e | a_i)) per letter, in a single draw
+        be = (cdf_be[a_seq] <= rng.random(cfg.n)[:, None]).sum(axis=1)
         b_seq, e_seq = be // ne, be % ne
         idx = int((a_seq * pow_a).sum())
         msg_id = int(messages[idx])
         r1, r2 = divmod(msg_id, codebook.n_bins[1])
-        a_hat, info = codebook.decode((r1, r2), b_seq)
-        if cfg.typ_mode == "ml":
-            sent = divmod(int(codebook._encode_idx[idx]), len(codebook.v_bins))
-            dec_ok = info == sent
-        else:
-            dec_ok = info is None
-        if a_hat is None:
-            dist = source.d_max
-        else:
-            dist = float(d[a_seq, a_hat].mean())
+        a_hat, pair = codebook.decode((r1, r2), b_seq)
+        sent = divmod(int(codebook._encode_idx[idx]), len(codebook.v_bins))
+        dist = float(d[a_seq, a_hat].mean())
         eq = exact_equivocation(codebook, msg_id, e_seq)
-        records.append(TrialRecord(t, bool(enc_ok[idx]), dec_ok, dist, eq))
+        records.append(TrialRecord(t, bool(enc_ok[idx]), pair == sent,
+                                   dist, eq))
 
     mean_d = float(np.mean([r.distortion for r in records]))
     mean_eq = float(np.mean([r.equivocation for r in records]))

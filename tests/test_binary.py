@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secrd.binary import (
+    BITS,
     TABLE_COLUMNS,
     BecBscParams,
     BinaryScheme,
@@ -18,7 +19,7 @@ from secrd.binary import (
     table_csv,
     table_text,
 )
-from secrd.probs import InvalidArgument, binary_entropy
+from secrd.probs import InvalidArgument, JointPmf, bec, binary_entropy, bsc, joint_from
 
 EPS_STAR = binary_entropy(0.1)  # erasure rate that balances I(A;B) = I(A;E)
 PARAMS = BecBscParams(p=0.1, eps=EPS_STAR)
@@ -128,3 +129,15 @@ class TestHelpers:
         np.testing.assert_allclose(pa, [0.5, 0.5], atol=1e-12)
         pb = src.joint.marginal(("B",)).mass
         np.testing.assert_allclose(pb, [0.35, 0.3, 0.35], atol=1e-12)
+
+    def test_build_source_equals_channel_composition(self):
+        # the direct (A, B, E) product is bit for bit the joint that
+        # chaining BEC(eps) and BSC(p) off a uniform A builds
+        uniform = JointPmf((("A", BITS),), np.array([0.5, 0.5]))
+        for p in [*np.linspace(0.0, 0.5, 11), 0.031124, 0.1]:
+            for eps in [*np.linspace(0.0, 1.0, 13), 0.469, EPS_STAR]:
+                composed = joint_from(uniform, [("B", bec(eps), "A"),
+                                                 ("E", bsc(p), "A")])
+                joint = build_source(BecBscParams(p, eps)).joint
+                assert joint.axes == composed.axes
+                np.testing.assert_array_equal(joint.mass, composed.mass)
