@@ -74,18 +74,29 @@ def aux_scheme(params: BecBscParams, scheme: BinaryScheme) -> AuxScheme:
     return AuxScheme(v_channel, u_channel, recon)
 
 
-def closed_form(params: BecBscParams, scheme: BinaryScheme) -> RDETuple:
-    """Boundary tuple for the binary-symmetric auxiliary pair (alpha, beta)."""
+def closed_form_batch(params: BecBscParams, alpha, beta) -> tuple[np.ndarray, ...]:
+    """(R, D, Delta) arrays for the binary-symmetric pairs (alpha, beta).
+
+    `alpha` and `beta` broadcast against each other and must lie in
+    [0, 1/2]; each element is computed independently of the others.
+    """
     p, eps = params.p, params.eps
-    al, be = scheme.alpha, scheme.beta
-    rate = eps * (1.0 - binary_entropy(al))
+    al, be = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    h_al = binary_entropy(al)
+    rate = eps * (1.0 - h_al)
     dist = eps * al
     ab = binary_star(al, be)
-    delta = (eps * binary_entropy(al)
+    delta = (eps * h_al
              + (1.0 - eps) * binary_entropy(ab)
              - binary_entropy(binary_star(p, ab))
              + binary_entropy(p))
-    return RDETuple(rate, dist, max(0.0, delta))
+    return np.broadcast_arrays(rate, dist, np.where(delta > 0.0, delta, 0.0))
+
+
+def closed_form(params: BecBscParams, scheme: BinaryScheme) -> RDETuple:
+    """Boundary tuple for the binary-symmetric auxiliary pair (alpha, beta)."""
+    tup = closed_form_batch(params, scheme.alpha, scheme.beta)
+    return RDETuple(*(float(x) for x in tup))
 
 
 def oracle_check(params: BecBscParams, scheme: BinaryScheme) -> float:
@@ -96,41 +107,53 @@ def oracle_check(params: BecBscParams, scheme: BinaryScheme) -> float:
     return max(abs(a - b) for a, b in zip(general, closed))
 
 
-def _best_beta(params: BecBscParams, alpha: float,
-               scan_points: int = 512, tol: float = 1e-7) -> tuple[float, float]:
-    """Maximize the equivocation over beta in [0, 1/2].
+SCAN_BLOCK = 16  # alphas per beta-scan block; keeps the scan temporaries small
+
+
+def _best_beta(params: BecBscParams, alphas, scan_points: int = 512,
+               tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the equivocation over beta in [0, 1/2], for each alpha.
 
     Coarse scan followed by golden-section refinement around the best
-    scanned point; returns (beta, delta).
+    scanned point, run in lockstep over all alphas; each row stops once
+    its own bracket is narrower than `tol`. Returns (beta, delta) arrays.
     """
+    alphas = np.asarray(alphas, dtype=float)
 
-    def delta(beta: float) -> float:
-        return closed_form(params, BinaryScheme(alpha, beta)).equivocation
+    def delta(al, beta):
+        return closed_form_batch(params, al, beta)[2]
 
     betas = np.linspace(0.0, 0.5, scan_points)
-    vals = [delta(b) for b in betas]
-    i = int(np.argmax(vals))
-    lo = betas[max(0, i - 1)]
-    hi = betas[min(scan_points - 1, i + 1)]
+    best = np.empty(alphas.size, dtype=int)
+    for i in range(0, alphas.size, SCAN_BLOCK):
+        best[i:i + SCAN_BLOCK] = np.argmax(
+            delta(alphas[i:i + SCAN_BLOCK, None], betas), axis=1)
+    a = betas[np.maximum(0, best - 1)]
+    b = betas[np.minimum(scan_points - 1, best + 1)]
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = delta(c), delta(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = delta(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = delta(d)
+    fc, fd = delta(alphas, c), delta(alphas, d)
+    rows = np.flatnonzero(b - a > tol)
+    while rows.size:
+        ra, rb, rc, rd = a[rows], b[rows], c[rows], d[rows]
+        rfc, rfd = fc[rows], fd[rows]
+        left = rfc >= rfd  # keep [a, d]: the new point is the lower one
+        ra = np.where(left, ra, rc)
+        rb = np.where(left, rd, rb)
+        x = np.where(left, rb - phi * (rb - ra), ra + phi * (rb - ra))
+        fx = delta(alphas[rows], x)
+        a[rows], b[rows] = ra, rb
+        c[rows] = np.where(left, x, rd)
+        d[rows] = np.where(left, rc, x)
+        fc[rows] = np.where(left, fx, rfd)
+        fd[rows] = np.where(left, rfc, fx)
+        rows = rows[rb - ra > tol]
     beta = 0.5 * (a + b)
-    if beta < tol:  # snap to the exact Wyner-Ziv endpoint
-        if delta(0.0) >= delta(beta) - 1e-15:
-            beta = 0.0
-    return beta, delta(beta)
+    # snap to the exact Wyner-Ziv endpoint
+    snap = (beta < tol) & (delta(alphas, 0.0) >= delta(alphas, beta) - 1e-15)
+    beta[snap] = 0.0
+    return beta, delta(alphas, beta)
 
 
 def sweep_curve(params: BecBscParams, d_grid) -> list[CurvePoint]:
@@ -141,15 +164,15 @@ def sweep_curve(params: BecBscParams, d_grid) -> list[CurvePoint]:
     """
     if params.eps <= 0:
         raise InvalidArgument("sweep needs eps > 0")
-    points = []
-    for d in d_grid:
-        if d < 0 or d > params.eps / 2.0 + 1e-12:
-            raise InvalidArgument(f"distortion {d} outside [0, eps/2]")
-        alpha = min(d / params.eps, 0.5)
-        beta_opt, dgen = _best_beta(params, alpha)
-        dwz = closed_form(params, BinaryScheme(alpha, 0.0)).equivocation
-        points.append(CurvePoint(d, dgen, dwz, alpha, beta_opt))
-    return points
+    ds = np.asarray(d_grid, dtype=float)
+    bad = np.flatnonzero(~((ds >= 0) & (ds <= params.eps / 2.0 + 1e-12)))
+    if bad.size:
+        raise InvalidArgument(f"distortion {float(ds[bad[0]])} outside [0, eps/2]")
+    alphas = np.minimum(ds / params.eps, 0.5)
+    beta_opt, dgen = _best_beta(params, alphas)
+    dwz = closed_form_batch(params, alphas, 0.0)[2]
+    return [CurvePoint(*row) for row in
+            zip(*(x.tolist() for x in (ds, dgen, dwz, alphas, beta_opt)))]
 
 
 def curve_csv(points: list[CurvePoint]) -> str:
@@ -179,22 +202,15 @@ def benchmark_table(params: BecBscParams, rate_budget_fraction: float = 0.8):
     reconstruction (H(A|B) = eps). Within each pair, beta is either
     optimized for equivocation or set to 0 (plain Wyner-Ziv coding).
     """
-    eps = params.eps
-    beta_ll, _ = _best_beta(params, 0.0)
-    columns = {}
-    columns[TABLE_COLUMNS[0]] = (closed_form(params, BinaryScheme(0.0, beta_ll)),
-                                  BinaryScheme(0.0, beta_ll))
-    columns[TABLE_COLUMNS[1]] = (closed_form(params, BinaryScheme(0.0, 0.0)),
-                                  BinaryScheme(0.0, 0.0))
     # rate equation: eps (1 - h2(alpha)) = fraction * eps
-    target = 1.0 - min(rate_budget_fraction, 1.0)
-    alpha = _inverse_h2(target)
-    beta_l, _ = _best_beta(params, alpha)
-    columns[TABLE_COLUMNS[2]] = (closed_form(params, BinaryScheme(alpha, beta_l)),
-                                  BinaryScheme(alpha, beta_l))
-    columns[TABLE_COLUMNS[3]] = (closed_form(params, BinaryScheme(alpha, 0.0)),
-                                  BinaryScheme(alpha, 0.0))
-    return columns
+    alpha = _inverse_h2(1.0 - min(rate_budget_fraction, 1.0))
+    (beta_ll, beta_l), _ = _best_beta(params, [0.0, alpha])
+    schemes = [BinaryScheme(0.0, float(beta_ll)), BinaryScheme(0.0, 0.0),
+               BinaryScheme(alpha, float(beta_l)), BinaryScheme(alpha, 0.0)]
+    tuples = zip(*(x.tolist() for x in closed_form_batch(
+        params, [s.alpha for s in schemes], [s.beta for s in schemes])))
+    return {name: (RDETuple(*tup), scheme)
+            for name, tup, scheme in zip(TABLE_COLUMNS, tuples, schemes)}
 
 
 def _inverse_h2(y: float, tol: float = 1e-12) -> float:

@@ -44,23 +44,26 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args: argparse.Namespace):
-    if not getattr(args, "config", None):
-        return
-    parser = args.subparser  # the subcommand parser owns the defaults
-    file_vals = _read_config(args.config)
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """Config-file values as defaults for the subcommand parser `sub`.
+
+    Values stay strings, so argparse applies each option's `type` when it
+    re-parses; a store_true flag is on for 1/true/yes.
+    """
+    actions = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    out = {}
+    for key, val in _read_config(path).items():
+        action = actions.get(key)
+        if action is None:
             raise ParseError(f"unknown config key {key!r}")
-        default = parser.get_default(key)
-        if getattr(args, key) == default:  # flag not given: config wins
-            current = getattr(args, key)
-            caster = type(default) if default is not None else str
-            if isinstance(default, bool):
-                val = val.lower() in ("1", "true", "yes")
-                setattr(args, key, val)
-            else:
-                setattr(args, key, caster(val) if default is not None else val)
+        if action.nargs == 0:
+            val = val.lower() in ("1", "true", "yes")
+        elif action.choices is not None and val not in action.choices:
+            raise ParseError(f"config key {key!r}: {val!r} is not one of "
+                             f"{', '.join(action.choices)}")
+        out[key] = val
+    return out
 
 
 def load_source_file(path: str) -> SecureSource:
@@ -133,10 +136,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _grid(stop: float, num: int) -> np.ndarray:
+    """`num` evenly spaced distortions from 0 to `stop`."""
+    if num < 0:
+        raise InvalidArgument(f"--grid must be >= 0, got {num}")
+    return np.linspace(0.0, stop, num)
+
+
 def cmd_sweep(args) -> int:
     params = ordering.BecBscParams(args.p, args.eps)
     source = binary_mod.build_source(params)
-    grid = np.linspace(0.0, args.d_max, args.grid)
+    grid = _grid(args.d_max, args.grid)
     config = SearchConfig(rate_budget=args.rate_budget)
     curve = region.sweep_boundary(source, grid, config)
     _write(args.out, curve.to_csv())
@@ -147,7 +157,7 @@ def cmd_binary(args) -> int:
     params = ordering.BecBscParams(args.p, args.eps)
     if args.curve:
         eps = params.eps
-        grid = np.linspace(0.0, eps / 2.0, args.grid) if eps > 0 else [0.0]
+        grid = _grid(eps / 2.0, args.grid) if eps > 0 else [0.0]
         points = binary_mod.sweep_curve(params, grid)
         _write(args.out, binary_mod.curve_csv(points))
         return EXIT_OK
@@ -279,7 +289,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config:  # file values become defaults, so explicit flags win
+            args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,18 +194,27 @@ def joint_from(
     return pmf
 
 
-def binary_entropy(x: float) -> float:
-    """h2(x) = -x log2 x - (1-x) log2 (1-x), in bits."""
-    if not 0.0 <= x <= 1.0:
+def _in_unit_interval(*xs) -> bool:
+    return all(np.all((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0)) for x in xs)
+
+
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """h2(x) = -x log2 x - (1-x) log2 (1-x), in bits; element-wise on arrays."""
+    if not _in_unit_interval(x):
         raise InvalidArgument(f"binary_entropy argument {x} outside [0, 1]")
-    if x in (0.0, 1.0):
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    h = np.where((x == 0.0) | (x == 1.0), 0.0, h)
+    return float(h) if h.ndim == 0 else h
 
 
-def binary_star(a: float, b: float) -> float:
-    """Binary convolution a*b = a(1-b) + (1-a)b (cascaded BSC crossover)."""
-    if not 0.0 <= a <= 1.0 or not 0.0 <= b <= 1.0:
+def binary_star(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """Binary convolution a*b = a(1-b) + (1-a)b (cascaded BSC crossover).
+
+    Element-wise on arrays.
+    """
+    if not _in_unit_interval(a, b):
         raise InvalidArgument("binary_star arguments must lie in [0, 1]")
     return a * (1.0 - b) + (1.0 - a) * b
 

@@ -1,5 +1,7 @@
 """Unit tests for the binary BEC/BSC worked example."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from secrd.binary import (
     TABLE_COLUMNS,
     BecBscParams,
     BinaryScheme,
+    CurvePoint,
     _inverse_h2,
     aux_scheme,
     build_source,
     closed_form,
+    closed_form_batch,
     curve_csv,
     oracle_check,
     sweep_curve,
@@ -19,7 +23,14 @@ from secrd.binary import (
     table_csv,
     table_text,
 )
-from secrd.probs import InvalidArgument, JointPmf, bec, binary_entropy, bsc, joint_from
+from secrd.probs import (
+    InvalidArgument,
+    JointPmf,
+    bec,
+    binary_entropy,
+    bsc,
+    joint_from,
+)
 
 EPS_STAR = binary_entropy(0.1)  # erasure rate that balances I(A;B) = I(A;E)
 PARAMS = BecBscParams(p=0.1, eps=EPS_STAR)
@@ -32,6 +43,74 @@ FROZEN_TABLE = {
                                    0.031124, 0.049635),
     "Wyner-Ziv": (0.375196, 0.014597, 0.125713, 0.031124, 0.0),
 }
+
+
+def _h2(x):
+    if x in (0.0, 1.0):
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+def _star(a, b):
+    return a * (1.0 - b) + (1.0 - a) * b
+
+
+def _scalar_delta(params, al, be):
+    """Equivocation of the closed form, one scalar operation at a time."""
+    p, eps = params.p, params.eps
+    ab = _star(al, be)
+    delta = eps * _h2(al) + (1.0 - eps) * _h2(ab) - _h2(_star(p, ab)) + _h2(p)
+    return max(0.0, delta)
+
+
+def _scalar_best_beta(params, alpha, scan_points=512, tol=1e-7):
+    """Per-point beta scan and golden-section search (the loop reference)."""
+
+    def delta(beta):
+        return _scalar_delta(params, alpha, beta)
+
+    betas = np.linspace(0.0, 0.5, scan_points)
+    i = int(np.argmax([delta(b) for b in betas]))
+    a, b = betas[max(0, i - 1)], betas[min(scan_points - 1, i + 1)]
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = delta(c), delta(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = delta(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = delta(d)
+    beta = 0.5 * (a + b)
+    if beta < tol and delta(0.0) >= delta(beta) - 1e-15:
+        beta = 0.0
+    return beta, delta(beta)
+
+
+def _scalar_curve(params, d_grid):
+    points = []
+    for d in d_grid:
+        alpha = min(d / params.eps, 0.5)
+        beta_opt, dgen = _scalar_best_beta(params, alpha)
+        points.append(CurvePoint(d, dgen, _scalar_delta(params, alpha, 0.0),
+                                 alpha, beta_opt))
+    return points
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+# (p, eps) pairs for the kernel-vs-loop checks: the paper point, the edges
+# p = 0, p = 1/2 and eps = 1, and random interior pairs
+EDGE_PAIRS = [(0.1, 0.469), (0.1, EPS_STAR), (0.0, 0.469), (0.5, 0.469),
+              (0.1, 1.0), (0.0, 1.0), (0.5, 1.0), (0.25, 0.01)]
+RANDOM_PAIRS = [(float(p), float(e)) for p, e in
+                np.random.default_rng(5).uniform([0.0, 0.01], [0.5, 1.0], (16, 2))]
 
 
 class TestScheme:
@@ -103,6 +182,34 @@ class TestCurve:
     def test_rejects_out_of_range_distortion(self):
         with pytest.raises(InvalidArgument):
             sweep_curve(PARAMS, [EPS_STAR])
+
+    def test_rejects_nan_distortion(self):
+        with pytest.raises(InvalidArgument):
+            sweep_curve(PARAMS, [0.0, float("nan"), 0.01])
+
+    # 7-point grids end at D = 0 (alpha = 0) and D = eps/2 (alpha = 1/2). The
+    # 60-point grid has a D whose best beta lies inside the first scan cell:
+    # that row's bracket starts half as wide and converges a step earlier.
+    @pytest.mark.parametrize("p,eps,n", [(p, e, 7) for p, e in EDGE_PAIRS + RANDOM_PAIRS]
+                             + [(0.1, 0.64, 60)])
+    def test_matches_scalar_loop(self, p, eps, n):
+        params = BecBscParams(p, eps)
+        grid = np.linspace(0.0, eps / 2.0, n)
+        got, want = sweep_curve(params, grid), _scalar_curve(params, grid)
+        assert [_bits(astuple(pt)) for pt in got] == [_bits(astuple(pt)) for pt in want]
+        assert curve_csv(got) == curve_csv(want)
+
+    @pytest.mark.parametrize("p,eps", EDGE_PAIRS + RANDOM_PAIRS[:4])
+    def test_kernel_matches_closed_form(self, p, eps):
+        params = BecBscParams(p, eps)
+        rng = np.random.default_rng(7)
+        alpha = np.concatenate([[0.0, 0.5, 0.0, 0.5], rng.uniform(0.0, 0.5, 60)])
+        beta = np.concatenate([[0.0, 0.0, 0.5, 0.5], rng.uniform(0.0, 0.5, 60)])
+        got = np.stack(closed_form_batch(params, alpha, beta), axis=1)
+        scalar = [closed_form(params, BinaryScheme(a, b)) for a, b in zip(alpha, beta)]
+        assert _bits(got) == _bits([tuple(t) for t in scalar])
+        assert _bits(got[:, 2]) == _bits([_scalar_delta(params, a, b)
+                                          for a, b in zip(alpha, beta)])
 
     def test_csv_header(self):
         pts = sweep_curve(PARAMS, [0.0, 0.01])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,20 @@ class TestBinary:
     def test_bad_parameter_is_invariant_error(self, capsys):
         assert main(["binary", "--p", "0.7"]) == EXIT_INVARIANT
 
+    def test_curve_matches_golden_file(self, capsys):
+        # the README curve, as the scalar per-point search printed it
+        code = main(["binary", "--p", "0.1", "--eps", "0.469", "--curve",
+                     "--grid", "200", "--format", "csv"])
+        assert code == EXIT_OK
+        golden = Path(__file__).parent / "data" / "curve_p0.1_eps0.469.csv"
+        assert capsys.readouterr().out == golden.read_bytes().decode()
+
+    def test_curve_grid_sizes(self, capsys):
+        assert main(["binary", "--curve", "--grid", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "D,delta_general,delta_wz,alpha,beta_opt\r\n"
+        assert main(["binary", "--curve", "--grid", "-1"]) == EXIT_INVARIANT
+        assert "--grid" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_parametric(self, capsys):
@@ -157,6 +172,10 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0] == "D,R,Delta,scheme_id"
 
+    def test_negative_grid_is_invariant_error(self, capsys):
+        assert main(["sweep", "--grid", "-2"]) == EXIT_INVARIANT
+        assert "--grid" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -173,4 +192,33 @@ class TestConfigFile:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus 1\n")
+        assert main(["classify", "--config", str(cfg)]) == EXIT_INPUT
+
+    def test_config_values_take_option_types(self, tmp_path, capsys):
+        # rate-budget has no default, so only the option's type can parse it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rate-budget 0.3\ngrid 2\n")
+        flags = ["sweep", "--d-max", "0.05"]
+        assert main(flags + ["--config", str(cfg)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert main(flags + ["--rate-budget", "0.3", "--grid", "2"]) == EXIT_OK
+        assert from_file == capsys.readouterr().out
+
+    def test_config_store_true_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve yes\ngrid 3\n")
+        assert main(["binary", "--config", str(cfg), "--grid", "2"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("line", ["p abc", "grid 1.5", "rate-budget x"])
+    def test_badly_typed_config_value_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == EXIT_INPUT
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format bogus\n")
         assert main(["classify", "--config", str(cfg)]) == EXIT_INPUT

@@ -153,6 +153,18 @@ class TestBinaryHelpers:
         with pytest.raises(InvalidArgument):
             binary_entropy(1.5)
 
+    def test_binary_helpers_are_elementwise(self):
+        x = np.array([[0.0, 0.1, 0.5], [0.9, 1.0, 0.3]])
+        np.testing.assert_array_equal(
+            binary_entropy(x), [[binary_entropy(float(v)) for v in row] for row in x])
+        np.testing.assert_array_equal(
+            binary_star(x, 0.2), [[binary_star(float(v), 0.2) for v in row] for row in x])
+        for bad in ([0.1, 1.5], [0.2, float("nan")]):
+            with pytest.raises(InvalidArgument):
+                binary_entropy(np.array(bad))
+            with pytest.raises(InvalidArgument):
+                binary_star(np.array(bad), 0.1)
+
     def test_binary_star_algebra(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

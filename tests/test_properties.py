@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrd.binary import BinaryScheme, closed_form, sweep_curve
+from secrd.ordering import BecBscParams
 from secrd.probs import Alphabet, ConditionalPmf, JointPmf, conditional_entropy
 from secrd.region import (
     AuxScheme,
@@ -89,3 +91,18 @@ def test_sweep_points_are_their_schemes_tuples(source, nv, nu, resolution, round
         assert tup.distortion <= d_budget + 1e-12
         assert tuple(tup) == pytest.approx(tuple(evaluate_scheme(source, scheme)),
                                            abs=1e-12)
+
+
+@SETTINGS
+@given(st.floats(0.0, 0.5), st.floats(1e-3, 1.0))
+def test_binary_curve_is_monotone_and_self_consistent(p, eps):
+    params = BecBscParams(p, eps)
+    points = sweep_curve(params, np.linspace(0.0, eps / 2.0, 25))
+    for prev, pt in zip(points, points[1:]):
+        assert pt.delta_general >= prev.delta_general - TOL
+        assert pt.delta_wz >= prev.delta_wz - TOL
+    for pt in points:
+        assert pt.delta_general >= pt.delta_wz - 1e-12
+        general = closed_form(params, BinaryScheme(pt.alpha, pt.beta_opt))
+        assert pt.delta_general == general.equivocation
+        assert pt.delta_wz == closed_form(params, BinaryScheme(pt.alpha, 0.0)).equivocation
