@@ -31,13 +31,13 @@ from .region import (
     eve_less_noisy_bound,
     less_noisy_bound,
     lossless_region_point,
-    no_side_info_point,
     sweep_boundary,
 )
 from .ordering import (
     BecBscParams,
     OrderingVerdict,
     classify_bec_bsc,
+    classify_source,
     is_degraded,
     is_more_capable,
     less_noisy_search,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import binary as binary_mod
 from . import ordering, region, simulate
-from .probs import InvalidArgument, ParseError, load_conditional
+from .probs import InvalidArgument, ParseError, _floats, load_conditional, load_joint
 from .region import AuxScheme, SearchConfig, SecureSource, best_reconstruction
 
 EXIT_OK = 0
@@ -78,24 +78,24 @@ def load_source_file(path: str) -> SecureSource:
         distortion: <|A|*|A| row-major floats>
     """
     text = Path(path).read_text()
-    joint_lines, dmax, dist = [], 1.0, None
+    joint_lines, dmax, dist = [], [1.0], None
     for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if stripped.startswith("dmax:"):
-            dmax = float(stripped[5:])
+            dmax = _floats(stripped[5:], stripped)
         elif stripped.startswith("distortion:"):
-            dist = [float(t) for t in stripped[11:].split()]
+            dist = _floats(stripped[11:], stripped)
         else:
             joint_lines.append(line)
-    from .probs import load_joint
-
     joint = load_joint("\n".join(joint_lines))
     na = len(joint.alphabet("A"))
+    if len(dmax) != 1:
+        raise ParseError(f"'dmax:' needs one value, got {len(dmax)}")
     if dist is None:
         raise ParseError("source file missing 'distortion:' line")
     if len(dist) != na * na:
         raise ParseError(f"distortion needs {na * na} entries, got {len(dist)}")
-    return SecureSource(joint, np.array(dist).reshape(na, na), d_max=dmax)
+    return SecureSource(joint, np.array(dist).reshape(na, na), d_max=dmax[0])
 
 
 def load_scheme_file(path: str, source: SecureSource) -> AuxScheme:
@@ -144,6 +144,8 @@ def _grid(stop: float, num: int) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    if not args.d_max >= 0.0:
+        raise InvalidArgument(f"--d-max must be >= 0, got {args.d_max}")
     params = ordering.BecBscParams(args.p, args.eps)
     source = binary_mod.build_source(params)
     grid = _grid(args.d_max, args.grid)
@@ -156,54 +158,26 @@ def cmd_sweep(args) -> int:
 def cmd_binary(args) -> int:
     params = ordering.BecBscParams(args.p, args.eps)
     if args.curve:
+        if args.format == "text":
+            raise InvalidArgument("--curve writes CSV; --format text is not available")
         eps = params.eps
         grid = _grid(eps / 2.0, args.grid) if eps > 0 else [0.0]
         points = binary_mod.sweep_curve(params, grid)
         _write(args.out, binary_mod.curve_csv(points))
         return EXIT_OK
     columns = binary_mod.benchmark_table(params, rate_budget_fraction=args.rate_budget)
-    if args.format == "csv":
-        _write(args.out, binary_mod.table_csv(columns))
-    else:
-        _write(args.out, binary_mod.table_text(columns))
+    table = binary_mod.table_csv if args.format == "csv" else binary_mod.table_text
+    _write(args.out, table(columns))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     if args.source:
-        source = load_source_file(args.source)
-        ch_b, ch_e = ordering.side_channels(source)
-        deg_fwd, _ = ordering.is_degraded(ch_b, ch_e)
-        deg_rev, _ = ordering.is_degraded(ch_e, ch_b)
-        mc_fwd, mc_rev = ordering.is_more_capable(source)
-        ln_fwd = "yes" if deg_fwd else (
-            "unknown" if ordering.less_noisy_search(source)[0] == "no-violation"
-            else "no")
-        rev_source = SecureSource(
-            _swap_be(source), source.distortion, source.d_max)
-        ln_rev = "yes" if deg_rev else (
-            "unknown" if ordering.less_noisy_search(rev_source)[0] == "no-violation"
-            else "no")
-        verdict = ordering.OrderingVerdict(
-            (deg_fwd, deg_rev), (ln_fwd, ln_rev),
-            (mc_fwd or ln_fwd == "yes", mc_rev or ln_rev == "yes"))
+        verdict = ordering.classify_source(load_source_file(args.source))
     else:
         verdict = ordering.classify_bec_bsc(ordering.BecBscParams(args.p, args.eps))
     _write(args.out, verdict.to_record() + "\n")
     return EXIT_OK
-
-
-def _swap_be(source: SecureSource):
-    from .probs import JointPmf
-
-    joint = source.joint
-    names = list(joint.names)
-    ib, ie = names.index("B"), names.index("E")
-    mass = np.swapaxes(joint.mass, ib, ie)
-    axes = list(joint.axes)
-    axes[ib] = ("B", joint.alphabet("E"))
-    axes[ie] = ("E", joint.alphabet("B"))
-    return JointPmf(tuple(axes), mass)
 
 
 def cmd_simulate(args) -> int:
@@ -232,17 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "random-binning simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=()):
         p.add_argument("--config", help="key-value config file; flags win")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json", "text"),
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=formats,
+                           help=f"output format (default: {formats[0]})")
         p.set_defaults(subparser=p)
 
     p_eval = sub.add_parser("eval", help="evaluate a scheme on a source")
     p_eval.add_argument("--source", required=True)
     p_eval.add_argument("--scheme", required=True)
-    common(p_eval)
+    common(p_eval, ("text", "json"))
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="boundary sweep on the binary model")
@@ -257,10 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin = sub.add_parser("binary", help="worked-example table and curve")
     p_bin.add_argument("--p", type=float, default=0.1)
     p_bin.add_argument("--eps", type=float, default=0.469)
-    p_bin.add_argument("--curve", action="store_true")
+    p_bin.add_argument("--curve", action="store_true",
+                       help="write the equivocation-distortion curve as CSV")
     p_bin.add_argument("--grid", type=int, default=200)
     p_bin.add_argument("--rate-budget", type=float, default=0.8)
-    common(p_bin)
+    common(p_bin, ("text", "csv"))
     p_bin.set_defaults(func=cmd_binary)
 
     p_cls = sub.add_parser("classify", help="side-information ordering verdict")
@@ -293,7 +269,7 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except simulate.ResourceLimit as exc:

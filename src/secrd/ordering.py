@@ -12,7 +12,7 @@ the erasure probability are 2p, 4p(1-p) and h2(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .probs import (
     Alphabet,
     ConditionalPmf,
     InvalidArgument,
+    JointPmf,
     batch_entropy,
     binary_entropy,
 )
@@ -100,17 +101,11 @@ def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
     nt = na * ne
     c = np.concatenate([np.zeros(nq), np.ones(nt)])
     # |(pb q)_{a,e} - pe_{a,e}| <= t_{a,e}
-    m = np.zeros((na * ne, nq))
-    for a in range(na):
-        for e in range(ne):
-            for b in range(nb):
-                m[a * ne + e, b * ne + e] = pb[a, b]
+    m = np.kron(pb, np.eye(ne))  # m[a * ne + e, b * ne + e] = pb[a, b]
     a_ub = np.block([[m, -np.eye(nt)], [-m, -np.eye(nt)]])
     b_ub = np.concatenate([pe.ravel(), -pe.ravel()])
     # rows of q sum to 1
-    a_eq = np.zeros((nb, nq + nt))
-    for b in range(nb):
-        a_eq[b, b * ne:(b + 1) * ne] = 1.0
+    a_eq = np.hstack([np.kron(np.eye(nb), np.ones(ne)), np.zeros((nb, nt))])
     b_eq = np.ones(nb)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0, None)] * (nq + nt), method="highs")
@@ -126,14 +121,13 @@ def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
 
 def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]:
     """The conditionals p(b|a) and p(e|a) extracted from the source joint."""
-    pa = source.joint.marginal(("A",)).mass
+    p_abe = source.p_abe
+    pa = p_abe.sum(axis=(1, 2))[:, None]
     if np.any(pa <= 0):
         raise InvalidArgument("side channels undefined for zero-mass A symbols")
-    pab = source.joint.marginal(("A", "B")).mass
-    pae = source.joint.marginal(("A", "E")).mass
     return (
-        ConditionalPmf(source.a_alphabet, source.b_alphabet, pab / pa[:, None]),
-        ConditionalPmf(source.a_alphabet, source.e_alphabet, pae / pa[:, None]),
+        ConditionalPmf(source.a_alphabet, source.b_alphabet, p_abe.sum(axis=2) / pa),
+        ConditionalPmf(source.a_alphabet, source.e_alphabet, p_abe.sum(axis=1) / pa),
     )
 
 
@@ -168,6 +162,27 @@ def classify_bec_bsc(params: BecBscParams) -> OrderingVerdict:
         less_noisy=("yes" if ln else "no", "yes" if rev_eps else "no"),
         more_capable=(mc, rev_eps),
     )
+
+
+def classify_source(source: SecureSource) -> OrderingVerdict:
+    """Ordering verdict for any source, from its joint p(a, b, e).
+
+    Degraded is the LP; less noisy is yes when degraded, else the grid
+    search's "no" or "unknown"; more capable is the MI test or less noisy.
+    """
+    ch_b, ch_e = side_channels(source)
+    degraded = (is_degraded(ch_b, ch_e)[0], is_degraded(ch_e, ch_b)[0])
+    # the reverse direction is the forward one with B and E swapped
+    swapped = replace(source, joint=JointPmf(
+        (("A", source.a_alphabet), ("B", source.e_alphabet), ("E", source.b_alphabet)),
+        np.swapaxes(source.p_abe, 1, 2)))
+    less_noisy = tuple(
+        "yes" if deg else
+        "unknown" if less_noisy_search(src)[0] == "no-violation" else "no"
+        for deg, src in zip(degraded, (source, swapped)))
+    more_capable = tuple(mc or ln == "yes"
+                         for mc, ln in zip(is_more_capable(source), less_noisy))
+    return OrderingVerdict(degraded, less_noisy, more_capable)
 
 
 def less_noisy_search(source: SecureSource, resolution: int = 40,

@@ -122,9 +122,9 @@ class ConditionalPmf:
 
 
 def batch_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each p[k, ...], summed over all axes but the first."""
+    """Entropy in bits of each p[k, ...] over all axes but the first; +0.0, never -0.0."""
     logs = np.log2(np.where(p > 0, p, 1.0))
-    return -(p * logs).sum(axis=tuple(range(1, p.ndim)))
+    return 0.0 - (p * logs).sum(axis=tuple(range(1, p.ndim)))
 
 
 def entropy(pmf: JointPmf, targets: Iterable[str]) -> float:
@@ -275,6 +275,13 @@ def _clean_lines(text: str) -> list[str]:
     return out
 
 
+def _floats(text: str, line: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split()]
+    except ValueError:
+        raise ParseError(f"non-numeric value in line: {line!r}") from None
+
+
 def dump_joint(pmf: JointPmf) -> str:
     lines = ["joint"]
     for name, alph in pmf.axes:
@@ -298,7 +305,7 @@ def load_joint(text: str) -> JointPmf:
                 raise ParseError(f"malformed axis line: {line!r}")
             axes.append((name, Alphabet(symbols)))
         elif line.startswith("mass:"):
-            mass = [float(t) for t in line[5:].split()]
+            mass = _floats(line[5:], line)
         else:
             raise ParseError(f"unrecognized line: {line!r}")
     if not axes:
@@ -338,7 +345,7 @@ def load_conditional(text: str) -> ConditionalPmf:
             output_alph = Alphabet(tuple(line[7:].split()))
         elif line.startswith("row "):
             head, _, rest = line[4:].partition(":")
-            rows[head.strip()] = [float(t) for t in rest.split()]
+            rows[head.strip()] = _floats(rest, line)
         else:
             raise ParseError(f"unrecognized line: {line!r}")
     if input_alph is None or output_alph is None:

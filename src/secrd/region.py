@@ -23,11 +23,9 @@ from .probs import (
     InvalidArgument,
     JointPmf,
     batch_entropy,
-    conditional_entropy,
     constant_channel,
     identity_channel,
     joint_from,
-    mutual_information,
 )
 
 
@@ -196,16 +194,12 @@ def identity_scheme(source: SecureSource,
 
 def lossless_region_point(source: SecureSource,
                           u_channel: ConditionalPmf) -> RDETuple:
-    """Zero-distortion point: (H(A|B), 0, [I(A;B|U) - I(A;E|U)]_+)."""
+    """Zero-distortion point: (H(A|B), 0, [I(A;B|U) - I(A;E|U)]_+), the V = A scheme."""
     if u_channel.input != source.a_alphabet:
         raise InvalidArgument("u_channel input alphabet must match source A")
-    joint = joint_from(source.joint, [("U", u_channel, "A")])
-    rate = conditional_entropy(joint, ("A",), ("B",))
-    delta = (
-        mutual_information(joint, ("A",), ("B",), ("U",))
-        - mutual_information(joint, ("A",), ("E",), ("U",))
-    )
-    return RDETuple(rate, 0.0, max(0.0, delta))
+    v = np.eye(len(source.a_alphabet))[None]
+    rate, _, delta, _ = rde_batch(source.p_abe, source.distortion, v, u_channel.rows[None])
+    return RDETuple(float(rate[0]), 0.0, float(delta[0]))
 
 
 def less_noisy_bound(source: SecureSource, scheme: AuxScheme) -> RDETuple:
@@ -218,13 +212,6 @@ def eve_less_noisy_bound(source: SecureSource, scheme: AuxScheme) -> RDETuple:
     """Specialized point with U = V; equivocation reduces to H(A|VE)."""
     copied = replace(scheme, u_channel=identity_channel(scheme.v_channel.output))
     return evaluate_scheme(source, copied)
-
-
-def no_side_info_point(source: SecureSource, scheme: AuxScheme) -> RDETuple:
-    """Region point when Bob has no side information (|B| = 1)."""
-    if len(source.b_alphabet) != 1:
-        raise InvalidArgument("no_side_info_point requires a singleton B alphabet")
-    return evaluate_scheme(source, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probs import InvalidArgument, JointPmf, mutual_information
-from .region import AuxScheme, SecureSource, materialize
+from .probs import InvalidArgument, batch_entropy
+from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
 
@@ -61,6 +61,14 @@ class SimConfig:
             raise InvalidArgument("trial count must be nonnegative")
 
 
+def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
+    """p(a, b, v, u) = p(a, b) p(v | a) p(u | v), axes in that order."""
+    if scheme.v_channel.input != source.a_alphabet:
+        raise InvalidArgument("v_channel input alphabet must match source A")
+    p_abv = source.p_abe.sum(axis=2)[:, :, None] * scheme.v_channel.rows[:, None, :]
+    return p_abv[..., None] * scheme.u_channel.rows
+
+
 def achievability_rates(source: SecureSource, scheme: AuxScheme,
                   slack: float = 0.1) -> SimRates:
     """Codebook rates at the achievability-constraint values plus slack.
@@ -68,11 +76,16 @@ def achievability_rates(source: SecureSource, scheme: AuxScheme,
     S1 > I(U;A), S1 - R1 < I(U;B), S2 > I(V;A|U), S2 - R2 < I(V;B|U);
     each constraint is met with margin `slack` (rates clamped at 0).
     """
-    joint = materialize(source, scheme)
-    iua = mutual_information(joint, ("U",), ("A",))
-    iub = mutual_information(joint, ("U",), ("B",))
-    iva_u = mutual_information(joint, ("V",), ("A",), ("U",))
-    ivb_u = mutual_information(joint, ("V",), ("B",), ("U",))
+    p = _p_abvu(source, scheme)
+
+    def h(keep: str) -> float:  # entropy of the marginal on `keep`, out of "ABVU"
+        drop = tuple(i for i, name in enumerate("ABVU") if name not in keep)
+        return float(batch_entropy(p.sum(axis=drop)[None])[0])
+
+    iua = max(0.0, h("U") + h("A") - h("AU"))
+    iub = max(0.0, h("U") + h("B") - h("BU"))
+    iva_u = max(0.0, h("VU") + h("AU") - h("AVU") - h("U"))
+    ivb_u = max(0.0, h("VU") + h("BU") - h("BVU") - h("U"))
     s1 = iua + slack
     r1 = max(0.0, s1 - max(0.0, iub - slack))
     s2 = iva_u + slack
@@ -105,7 +118,7 @@ def _onehot_words(size: int, n: int) -> np.ndarray:
 
 @dataclass
 class Codebook:
-    """Nested binned codebooks plus the distributions they were drawn from."""
+    """Nested binned codebooks plus the log-probability tables coding uses."""
 
     source: SecureSource
     scheme: AuxScheme
@@ -114,7 +127,6 @@ class Codebook:
     u_bins: np.ndarray = field(init=False)        # (M1,) int
     v_words: np.ndarray = field(init=False)       # (M1, M2, n) int
     v_bins: np.ndarray = field(init=False)        # (M2,) int, shared layout
-    joint: JointPmf = field(init=False)
     _encode_map: np.ndarray | None = field(init=False, default=None)
     _encode_ok: np.ndarray | None = field(init=False, default=None)
     _encode_idx: np.ndarray | None = field(init=False, default=None)
@@ -123,12 +135,11 @@ class Codebook:
 
     def __post_init__(self):
         cfg = self.cfg
-        self.joint = materialize(self.source, self.scheme)
-        p_uv = self.joint.marginal(("V", "U")).mass  # axes order (V, U)
-        self.p_u = p_uv.sum(axis=0)
-        self.p_v_given_u = (p_uv / np.where(self.p_u > 0, self.p_u, 1.0)).T
-        p_avu = self.joint.marginal(("A", "B", "V", "U")).mass
-        self.log_uva = _safe_log2(p_avu.sum(axis=1).transpose(2, 1, 0))
+        p_avu = _p_abvu(self.source, self.scheme).sum(axis=1)
+        p_vu = p_avu.sum(axis=0)
+        p_u = p_vu.sum(axis=0)
+        p_v_given_u = (p_vu / np.where(p_u > 0, p_u, 1.0)).T
+        self.log_uva = _safe_log2(p_avu.transpose(2, 1, 0))
         p_abe = self.source.p_abe
         p_a = p_abe.sum(axis=(1, 2))
         self.log_a = _safe_log2(p_a)
@@ -147,8 +158,8 @@ class Codebook:
         # i.i.d. draws: all u-words first, then the v-words of each u-word
         # in index order, each letter by inverting p(v | u_i)'s cdf.
         rng = np.random.default_rng(cfg.seed)
-        self.u_words = rng.choice(len(self.p_u), size=(m1, cfg.n), p=self.p_u)
-        cum = self.p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
+        self.u_words = rng.choice(len(p_u), size=(m1, cfg.n), p=p_u)
+        cum = p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
         draws = rng.random((m1, m2, cfg.n))
         self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)
         self.u_bins = np.arange(m1) % n1
@@ -266,12 +277,13 @@ def exact_equivocation(codebook: Codebook, message_id: int,
     sub = seqs[idx]
     e = np.asarray(e_seq)
     # log2-posterior up to a constant: sum_i log2 p(a_i) + log2 p(e_i | a_i)
-    w = (codebook.log_a[sub].sum(axis=1)
+    w = (codebook._log_prior[idx]
          + codebook.log_e_given_a[sub, e[None, :]].sum(axis=1))
     post = np.exp2(w - w.max())
     post /= post.sum()
     nz = post[post > 0]
-    return float(-(nz * np.log2(nz)).sum()) / codebook.cfg.n
+    # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
+    return float(0.0 - (nz * np.log2(nz)).sum()) / codebook.cfg.n
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,45 @@ class TestEval:
         code = main(["eval", "--source", str(bad), "--scheme", scheme_file])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("old, new", [
+        ("mass: 0.23895", "mass: x0.23895"),
+        ("dmax: 1.0", "dmax: one"),
+        ("dmax: 1.0", "dmax: 1.0 2.0"),
+        ("distortion: 0 1 1 0", "distortion: 0 1 1 zero"),
+    ], ids=["mass", "dmax", "dmax-two-values", "distortion"])
+    def test_bad_source_number_is_input_error(self, tmp_path, scheme_file, capsys,
+                                              old, new):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(SOURCE_TEXT.replace(old, new))
+        assert main(["eval", "--source", str(bad), "--scheme", scheme_file]) == EXIT_INPUT
+        assert main(["classify", "--source", str(bad)]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_row_number_is_input_error(self, tmp_path, source_file, capsys):
+        bad = tmp_path / "scheme.txt"
+        bad.write_text(SCHEME_TEXT.replace("row 1: 0.05", "row 1: 0.05x"))
+        assert main(["eval", "--source", source_file, "--scheme", str(bad)]) == EXIT_INPUT
+        assert "non-numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--source", "{dir}", "--scheme", "{dir}"],
+        ["classify", "--source", "{dir}"],
+        ["classify", "--config", "{dir}"],
+        ["classify", "--source", "{binary}"],
+    ], ids=["eval-directory", "classify-directory", "config-directory", "not-utf8"])
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, argv):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"joint\n\xff\xfe\n")
+        argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+        assert main(argv) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_format_choices(self, source_file, scheme_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--source", source_file, "--scheme", scheme_file,
+                  "--format", "csv"])
+        assert exc.value.code == EXIT_INPUT
+
     def test_cap_violation_is_invariant_error(self, source_file, tmp_path, capsys):
         # 13 V symbols exceeds the |V| <= (|A|+2)(|A|+1) = 12 cap for |A| = 2
         n = 13
@@ -125,6 +165,15 @@ class TestBinary:
         golden = Path(__file__).parent / "data" / "curve_p0.1_eps0.469.csv"
         assert capsys.readouterr().out == golden.read_bytes().decode()
 
+    def test_curve_writes_csv(self, capsys):
+        assert main(["binary", "--curve", "--grid", "3"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(["binary", "--curve", "--grid", "3", "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        assert default.startswith("D,delta_general,delta_wz,alpha,beta_opt")
+        assert main(["binary", "--curve", "--format", "text"]) == EXIT_INVARIANT
+        assert "--curve" in capsys.readouterr().err
+
     def test_curve_grid_sizes(self, capsys):
         assert main(["binary", "--curve", "--grid", "0"]) == EXIT_OK
         assert capsys.readouterr().out == "D,delta_general,delta_wz,alpha,beta_opt\r\n"
@@ -159,6 +208,14 @@ class TestSimulate:
         assert lines[1] == "trial,encode_ok,decode_ok,distortion,equivocation"
         assert len(lines) == 12
 
+    def test_point_mass_equivocation_prints_positive_zero(self, capsys):
+        # at p = 0 Eve sees A, so every trial's equivocation is exactly 0
+        assert main(["simulate", "--p", "0", "--trials", "3", "--n", "6"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        fields = [f for line in lines[2:] for f in line.split(",")]
+        assert len(fields) == 15 and "0.000000" in fields
+        assert "-0.000000" not in fields
+
     def test_enumeration_guard(self, capsys):
         assert main(["simulate", "--n", "20", "--trials", "1"]) == EXIT_RESOURCE
         assert "exceeds" in capsys.readouterr().err
@@ -175,6 +232,42 @@ class TestSweep:
     def test_negative_grid_is_invariant_error(self, capsys):
         assert main(["sweep", "--grid", "-2"]) == EXIT_INVARIANT
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_max", ["-1", "nan"])
+    def test_bad_d_max_is_invariant_error(self, capsys, d_max):
+        assert main(["sweep", "--d-max", d_max, "--grid", "2"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "--d-max" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--format", "csv"],
+    ["classify", "--format", "csv"],
+    ["simulate", "--format", "csv"],
+    ["binary", "--format", "json"],
+], ids=["sweep", "classify", "simulate", "binary-json"])
+def test_format_only_where_it_selects_the_output(argv):
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+
+
+def _readme_example(heading):
+    """The first ```text block after `heading` in the README."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    after = readme[readme.index(heading):]
+    return re.search(r"```text\n(.*?)```", after, re.DOTALL).group(1)
+
+
+def test_readme_file_examples_parse(tmp_path, capsys):
+    source = tmp_path / "source.txt"
+    source.write_text(_readme_example("**Source file**"))
+    scheme = tmp_path / "scheme.txt"
+    scheme.write_text(_readme_example("**Scheme file**"))
+    assert main(["eval", "--source", str(source), "--scheme", str(scheme)]) == EXIT_OK
+    assert main(["classify", "--source", str(source)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("R=") and out[1].startswith("degraded=")
 
 
 class TestConfigFile:
@@ -221,4 +314,4 @@ class TestConfigFile:
     def test_config_value_outside_choices(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format bogus\n")
-        assert main(["classify", "--config", str(cfg)]) == EXIT_INPUT
+        assert main(["binary", "--config", str(cfg)]) == EXIT_INPUT

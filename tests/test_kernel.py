@@ -1,11 +1,12 @@
-"""The batched region kernel against the JointPmf reference path."""
+"""The array kernels against the JointPmf reference path."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
-from secrd.binary import BecBscParams, build_source
+from secrd.binary import BecBscParams, BinaryScheme, aux_scheme, build_source
 from secrd.ordering import less_noisy_search
 from secrd.probs import (
     Alphabet,
@@ -21,9 +22,11 @@ from secrd.region import (
     SecureSource,
     best_reconstruction,
     evaluate_scheme,
+    lossless_region_point,
     materialize,
     rde_batch,
 )
+from secrd.simulate import Codebook, SimConfig, achievability_rates
 
 
 def _labels(prefix, n):
@@ -91,6 +94,7 @@ def _reference(source, v_rows, u_rows):
 def test_batch_entropy_ignores_zero_mass():
     p = np.array([[[0.5, 0.5], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     np.testing.assert_allclose(batch_entropy(p), [1.0, 0.0], atol=1e-15)
+    assert not np.signbit(batch_entropy(p)[1])  # +0.0 at a point mass
 
 
 def test_kernel_matches_jointpmf_path():
@@ -142,3 +146,72 @@ def test_less_noisy_search_matches_per_channel_reference(case):
         assert _violation(source, witness.rows) == pytest.approx(worst, abs=1e-12)
     else:
         assert (tag, witness) == ("no-violation", resolution)
+
+
+def _random_scheme(rng, source):
+    na = len(source.a_alphabet)
+    nv, nu = (int(x) for x in rng.integers(1, 4, size=2))
+    v_channel = ConditionalPmf(source.a_alphabet, _labels("v", nv), _stochastic(rng, na, nv))
+    u_channel = ConditionalPmf(v_channel.output, _labels("u", nu), _stochastic(rng, nv, nu))
+    return AuxScheme(v_channel, u_channel, np.zeros((nv, len(source.b_alphabet)), dtype=int))
+
+
+def test_achievability_rates_match_jointpmf_path():
+    rng = np.random.default_rng(1009)
+    for _ in range(150):
+        source = _random_source(rng)
+        scheme = _random_scheme(rng, source)
+        joint = materialize(source, scheme)
+        iua = mutual_information(joint, ("U",), ("A",))
+        iub = mutual_information(joint, ("U",), ("B",))
+        iva_u = mutual_information(joint, ("V",), ("A",), ("U",))
+        ivb_u = mutual_information(joint, ("V",), ("B",), ("U",))
+        want = (iua + 0.1, max(0.0, iua + 0.1 - max(0.0, iub - 0.1)),
+                iva_u + 0.1, max(0.0, iva_u + 0.1 - max(0.0, ivb_u - 0.1)))
+        rates = achievability_rates(source, scheme, slack=0.1)
+        assert (rates.s1, rates.r1, rates.s2, rates.r2) == pytest.approx(want, abs=1e-12)
+
+
+def test_lossless_region_point_matches_jointpmf_path():
+    rng = np.random.default_rng(1010)
+    for _ in range(100):
+        source = _random_source(rng)
+        nu = int(rng.integers(1, 4))
+        channel = ConditionalPmf(source.a_alphabet, _labels("u", nu),
+                                 _stochastic(rng, len(source.a_alphabet), nu))
+        joint = joint_from(source.joint, [("U", channel, "A")])
+        delta = (mutual_information(joint, ("A",), ("B",), ("U",))
+                 - mutual_information(joint, ("A",), ("E",), ("U",)))
+        want = (conditional_entropy(joint, ("A",), ("B",)), 0.0, max(0.0, delta))
+        assert tuple(lossless_region_point(source, channel)) == pytest.approx(want, abs=1e-12)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (codewords, encoder outputs) digests of the paper scheme's codebook, recorded
+# when Codebook drew its words from a materialized JointPmf
+CODEBOOK_DIGESTS = {
+    (4, 0): ("c90af551d9e0e17a", "73bbe95e61e30f89"),
+    (4, 1): ("0dd5b5e2ecd292ef", "eb39e30967ceee2b"),
+    (8, 0): ("0dccd7423106be0c", "2608f379e276d2e3"),
+    (8, 1): ("f88d979d87cb7d67", "f81affdf3a1c1b55"),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(CODEBOOK_DIGESTS))
+def test_codebook_matches_jointpmf_construction(n, seed):
+    params = BecBscParams(0.1, 0.469)
+    source = build_source(params)
+    scheme = aux_scheme(params, BinaryScheme(0.031, 0.05))
+    rates = achievability_rates(source, scheme, slack=0.1)
+    book = Codebook(source, scheme, SimConfig(n=n, rates=rates, trials=1, seed=seed))
+    messages, ok, _ = book.encode_all()
+    got = (_digest(book.u_words, book.v_words), _digest(messages, ok, book._encode_idx))
+    assert got == CODEBOOK_DIGESTS[n, seed]
+    p_uva = np.transpose(materialize(source, scheme).marginal(("A", "V", "U")).mass)
+    np.testing.assert_allclose(np.exp2(book.log_uva), p_uva, rtol=0, atol=1e-15)

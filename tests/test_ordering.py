@@ -13,12 +13,22 @@ from secrd.binary import BecBscParams, build_source
 from secrd.ordering import (
     OrderingVerdict,
     classify_bec_bsc,
+    classify_source,
     is_degraded,
     is_more_capable,
     less_noisy_search,
     side_channels,
 )
-from secrd.probs import InvalidArgument, binary_entropy, bsc, bec, compose
+from secrd.probs import (
+    Alphabet,
+    InvalidArgument,
+    JointPmf,
+    binary_entropy,
+    bsc,
+    bec,
+    compose,
+)
+from secrd.region import SecureSource
 
 
 class TestParams:
@@ -120,11 +130,61 @@ class TestLessNoisySearch:
             less_noisy_search(src, u_size=4)
 
 
+def _source(order, mass, shape):
+    """A source with joint p(a, b, e) = `mass`, stored with its axes in `order`."""
+    mass = np.reshape(mass, shape)
+    alphabets = {name: Alphabet(tuple(f"{name.lower()}{i}" for i in range(k)))
+                 for name, k in zip("ABE", shape)}
+    joint = JointPmf(tuple((name, alphabets[name]) for name in order),
+                     np.transpose(mass, ["ABE".index(name) for name in order]))
+    return SecureSource(joint, 1.0 - np.eye(shape[0]))
+
+
+BEC_BSC_MASS = [0.045, 0.005, 0.405, 0.045, 0, 0, 0, 0, 0.045, 0.405, 0.005, 0.045]
+TERNARY_MASS = [0.092, 0.070, 0.054, 0.128, 0.029, 0.036,
+                0.234, 0.115, 0.120, 0.011, 0.075, 0.036]
+
+
+# The records `secrd classify --source` printed for these joints stored in
+# (A, B, E) order, before the verdict moved into classify_source. Other axis
+# orders must give the same record; side_channels once read its marginals in
+# the stored order, which failed for B or E stored before A.
+@pytest.mark.parametrize("source, record", [
+    pytest.param(_source("ABE", [0.3, 0, 0, 0, 0, 0, 0, 0.7], (2, 2, 2)),
+                 "degraded=yes less_noisy=yes more_capable=yes "
+                 "rev_degraded=yes rev_less_noisy=yes rev_more_capable=yes",
+                 id="B=E=A"),
+    pytest.param(_source("ABE", [0.45, 0.05, 0, 0, 0, 0, 0.05, 0.45], (2, 2, 2)),
+                 "degraded=yes less_noisy=yes more_capable=yes "
+                 "rev_degraded=no rev_less_noisy=no rev_more_capable=no",
+                 id="B=A-E=bsc0.1"),
+    pytest.param(_source("ABE", BEC_BSC_MASS, (2, 3, 2)),
+                 "degraded=no less_noisy=no more_capable=no "
+                 "rev_degraded=no rev_less_noisy=unknown rev_more_capable=yes",
+                 id="bec0.9-bsc0.1"),
+    pytest.param(_source("EAB", BEC_BSC_MASS, (2, 3, 2)),
+                 "degraded=no less_noisy=no more_capable=no "
+                 "rev_degraded=no rev_less_noisy=unknown rev_more_capable=yes",
+                 id="bec0.9-bsc0.1-EAB-order"),
+    pytest.param(_source("ABE", TERNARY_MASS, (3, 2, 2)),
+                 "degraded=no less_noisy=no more_capable=yes "
+                 "rev_degraded=no rev_less_noisy=no rev_more_capable=no",
+                 id="ternary"),
+    pytest.param(_source("BEA", TERNARY_MASS, (3, 2, 2)),
+                 "degraded=no less_noisy=no more_capable=yes "
+                 "rev_degraded=no rev_less_noisy=no rev_more_capable=no",
+                 id="ternary-BEA-order"),
+])
+def test_classify_source_records(source, record):
+    assert classify_source(source).to_record() == record
+
+
 def test_side_channels_recover_constructors():
     src = build_source(BecBscParams(0.1, 0.4))
-    ch_b, ch_e = side_channels(src)
-    np.testing.assert_allclose(ch_b.rows, bec(0.4).rows, atol=1e-12)
-    np.testing.assert_allclose(ch_e.rows, bsc(0.1).rows, atol=1e-12)
+    for order in ("ABE", "EBA"):  # whatever order the joint stores its axes in
+        ch_b, ch_e = side_channels(_source(order, src.p_abe, src.p_abe.shape))
+        np.testing.assert_allclose(ch_b.rows, bec(0.4).rows, atol=1e-12)
+        np.testing.assert_allclose(ch_e.rows, bsc(0.1).rows, atol=1e-12)
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -27,7 +27,6 @@ from secrd.region import (
     less_noisy_bound,
     lossless_region_point,
     materialize,
-    no_side_info_point,
     sweep_boundary,
 )
 
@@ -149,11 +148,6 @@ class TestSpecialPoints:
                  + mutual_information(joint, ("A",), ("B",))
                  - mutual_information(joint, ("A",), ("E",)))
         assert tup.equivocation == pytest.approx(max(0.0, delta), abs=1e-9)
-
-    def test_no_side_info_requires_singleton_b(self):
-        src = build_source(PARAMS)
-        with pytest.raises(InvalidArgument):
-            no_side_info_point(src, identity_scheme(src))
 
 
 class TestBestReconstruction:
