@@ -282,6 +282,13 @@ def _floats(text: str, line: str) -> list[float]:
         raise ParseError(f"non-numeric value in line: {line!r}") from None
 
 
+def _alphabet(symbols: tuple[str, ...], line: str) -> Alphabet:
+    try:
+        return Alphabet(symbols)
+    except InvalidArgument as exc:
+        raise ParseError(f"{exc} in line: {line!r}") from None
+
+
 def dump_joint(pmf: JointPmf) -> str:
     lines = ["joint"]
     for name, alph in pmf.axes:
@@ -303,7 +310,7 @@ def load_joint(text: str) -> JointPmf:
             symbols = tuple(rest.split())
             if not name or not symbols:
                 raise ParseError(f"malformed axis line: {line!r}")
-            axes.append((name, Alphabet(symbols)))
+            axes.append((name, _alphabet(symbols, line)))
         elif line.startswith("mass:"):
             mass = _floats(line[5:], line)
         else:
@@ -340,9 +347,9 @@ def load_conditional(text: str) -> ConditionalPmf:
     rows: dict[str, list[float]] = {}
     for line in lines[1:]:
         if line.startswith("input:"):
-            input_alph = Alphabet(tuple(line[6:].split()))
+            input_alph = _alphabet(tuple(line[6:].split()), line)
         elif line.startswith("output:"):
-            output_alph = Alphabet(tuple(line[7:].split()))
+            output_alph = _alphabet(tuple(line[7:].split()), line)
         elif line.startswith("row "):
             head, _, rest = line[4:].partition(":")
             rows[head.strip()] = _floats(rest, line)

@@ -14,6 +14,12 @@ source sequences that encode to it, reusing the same enumeration that
 the equivocation computation needs. Decode success means the encoder's
 codeword indices were recovered. Blocklengths are capped so that |A|^n
 enumeration stays cheap.
+
+Trials are evaluated together, in chunks of bounded size. Each message's
+preimage (the source words that encode to it) is cached once, and a
+trial's decode scores and Eve's posterior are read over its preimage only,
+each word's log-likelihood being the sum of a table over its first half
+and a table over its second half.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .probs import InvalidArgument, batch_entropy
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
+CHUNK_CELLS = 1 << 14  # cap on the cells of one chunk of trials' arrays
 
 
 class ResourceLimit(RuntimeError):
@@ -116,6 +123,19 @@ def _onehot_words(size: int, n: int) -> np.ndarray:
     return np.eye(size)[_words(size, n)].reshape(size ** n, n * size).T
 
 
+def _word_sums(table: np.ndarray) -> np.ndarray:
+    """(K, m, A) per-letter tables -> (K, A**m) sums over every m-letter word.
+
+    Words are in lexicographic order and each sum adds its letters first to
+    last, so a row does not depend on K. A matmul against `_onehot_words`
+    would not do: BLAS orders its sums differently for different row counts.
+    """
+    sums = np.zeros((len(table), 1))
+    for letter in table.transpose(1, 0, 2):
+        sums = (sums[:, :, None] + letter[:, None, :]).reshape(len(table), -1)
+    return sums
+
+
 @dataclass
 class Codebook:
     """Nested binned codebooks plus the log-probability tables coding uses."""
@@ -131,7 +151,10 @@ class Codebook:
     _encode_ok: np.ndarray | None = field(init=False, default=None)
     _encode_idx: np.ndarray | None = field(init=False, default=None)
     _all_seqs: np.ndarray | None = field(init=False, default=None)
-    _log_prior: np.ndarray | None = field(init=False, default=None)
+    # the source words that encode to message m, in word order, are
+    # _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
+    _preimage_words: np.ndarray | None = field(init=False, default=None)
+    _preimage_start: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         cfg = self.cfg
@@ -235,8 +258,55 @@ class Codebook:
         self._encode_ok = best > _LOG_FLOOR / 2
         self._encode_idx = best_s1 * m2 + best_s2
         self._all_seqs = seqs
-        self._log_prior = self.log_a[seqs].sum(axis=1)
+        # stable, so each preimage is in word order, as np.nonzero lists it
+        self._preimage_words = np.argsort(self._encode_map, kind="stable")
+        sizes = np.bincount(self._encode_map,
+                            minlength=self.n_bins[0] * self.n_bins[1])
+        self._preimage_start = np.concatenate(([0], np.cumsum(sizes)))
         return self._encode_map, self._encode_ok, self._all_seqs
+
+    def _trial_cells(self) -> int:
+        """Cells one trial adds to a chunk's largest arrays: its (b, e) draw
+        against the cdf, its preimage, its in-bin pair slots and its two
+        half-word tables."""
+        self.encode_all()
+        na, nb, ne = self.source.p_abe.shape
+        n = self.cfg.n
+        return (n * nb * ne + int(np.diff(self._preimage_start).max())
+                + self._pair_slots()[0] + na ** (n // 2) + na ** (n - n // 2))
+
+    def _pair_slots(self) -> tuple[int, int]:
+        """(slots, per_row): in-bin pair (r1 + j1 N1, r2 + j2 N2) has slot
+        j1 * per_row + j2, so slot order is pair-index order."""
+        n1, n2 = self.n_bins
+        per_row = -(-len(self.v_bins) // n2)
+        return -(-len(self.u_words) // n1) * per_row, per_row
+
+    def _preimage_loglik(self, msg_ids: np.ndarray, x_seqs: np.ndarray,
+                         log_x_given_a: np.ndarray):
+        """log2 p(a) p(x | a) on every word of each trial's preimage.
+
+        Trial k has message msg_ids[k] and observation x_seqs[k]. Returns
+        (trial, first, words, scores, top), ragged over the trials in order
+        and each preimage in word order: words[j] is a word of trial
+        trial[j]'s preimage, which starts at first[trial[j]], and scores[j]
+        its log-likelihood L[first h letters] + R[last n - h letters].
+        top[k] = max L + max R is the exact maximum over all |A|^n words,
+        because rounding is monotone.
+        """
+        self.encode_all()
+        h = self.cfg.n // 2
+        table = self.log_a + log_x_given_a[:, x_seqs].transpose(1, 2, 0)
+        left, right = _word_sums(table[:, :h]), _word_sums(table[:, h:])
+        lo = self._preimage_start[msg_ids]
+        sizes = self._preimage_start[msg_ids + 1] - lo
+        trial = np.repeat(np.arange(len(msg_ids)), sizes)
+        first = np.cumsum(sizes) - sizes
+        words = self._preimage_words[np.arange(sizes.sum())
+                                     + np.repeat(lo - first, sizes)]
+        n_right = right.shape[1]
+        scores = left[trial, words // n_right] + right[trial, words % n_right]
+        return trial, first, words, scores, left.max(axis=1) + right.max(axis=1)
 
     # -- decoding ----------------------------------------------------------
 
@@ -247,43 +317,64 @@ class Codebook:
         bins is scored by the posterior mass of the source sequences that
         encode to it, weighted by p(b | a). Returns (a_hat_seq, (s1, s2));
         the caller judges success by comparing the indices with the
-        encoder's.
+        encoder's. A bin index outside (N1, N2) raises InvalidArgument.
         """
         r1, r2 = message
+        if not (0 <= r1 < self.n_bins[0] and 0 <= r2 < self.n_bins[1]):
+            raise InvalidArgument(f"message {message} outside the bins {self.n_bins}")
         b = np.asarray(b_seq)
-        self.encode_all()
-        loglik = self.log_b_given_a[self._all_seqs, b[None, :]].sum(axis=1)
-        logw = self._log_prior + loglik
-        w = np.exp2(logw - logw.max())
-        m2 = len(self.v_bins)
-        n_pairs = len(self.u_words) * m2
-        scores = np.bincount(self._encode_idx, weights=w, minlength=n_pairs)
-        in_bins = ((self.u_bins[:, None] == r1)
-                   & (self.v_bins[None, :] == r2)).ravel()
-        scores = np.where(in_bins, scores, -1.0)
-        pair = int(np.argmax(scores >= scores.max() - SCORE_TOL))
-        s1, s2 = divmod(pair, m2)
-        v = self.v_words[s1][s2]
-        return self.scheme.reconstruction[v, b], (s1, s2)
+        s1, s2 = self._decode_batch(np.array([r1 * self.n_bins[1] + r2]), b[None])
+        s1, s2 = int(s1[0]), int(s2[0])
+        return self.scheme.reconstruction[self.v_words[s1, s2], b], (s1, s2)
+
+    def _decode_batch(self, msg_ids: np.ndarray, b_seqs: np.ndarray):
+        """`decode` for K trials at once: the (s1, s2) arrays.
+
+        A pair's score is the mass of its source words, each weighted by
+        2^(log2 p(a) p(b | a) - the maximum over all |A|^n words). The
+        lowest in-bin pair within SCORE_TOL of the best score wins, so a
+        pair no preimage word maps to scores 0 and, when every score is
+        below SCORE_TOL, the winner is the lowest pair (r1, r2).
+        """
+        trial, _, words, scores, top = self._preimage_loglik(
+            msg_ids, b_seqs, self.log_b_given_a)
+        n1, n2 = self.n_bins
+        slots, per_row = self._pair_slots()
+        s1, s2 = np.divmod(self._encode_idx[words], len(self.v_bins))
+        # bincount adds in word order, as a full-enumeration bincount does;
+        # slot 0 is a real pair, so a slot past the codebook's edge (mass 0)
+        # never comes first
+        mass = np.bincount(trial * slots + s1 // n1 * per_row + s2 // n2,
+                           weights=np.exp2(scores - top[trial]),
+                           minlength=len(msg_ids) * slots).reshape(-1, slots)
+        pick = np.argmax(mass >= mass.max(axis=1, keepdims=True) - SCORE_TOL,
+                         axis=1)
+        r1, r2 = np.divmod(msg_ids, n2)
+        j1, j2 = np.divmod(pick, per_row)
+        return r1 + j1 * n1, r2 + j2 * n2
+
+    def _equivocation_batch(self, msg_ids: np.ndarray,
+                            e_seqs: np.ndarray) -> np.ndarray:
+        """`exact_equivocation` for K trials at once; no preimage may be empty."""
+        trial, first, _, scores, _ = self._preimage_loglik(
+            msg_ids, e_seqs, self.log_e_given_a)
+        post = np.exp2(scores - np.maximum.reduceat(scores, first)[trial])
+        post /= np.add.reduceat(post, first)[trial]
+        plogp = post * np.log2(np.where(post > 0, post, 1.0))
+        # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
+        return (0.0 - np.add.reduceat(plogp, first)) / self.cfg.n
 
 
 def exact_equivocation(codebook: Codebook, message_id: int,
                        e_seq: np.ndarray) -> float:
     """(1/n) H(A^n | W = message, E^n = e_seq), by full enumeration."""
-    messages, _, seqs = codebook.encode_all()
-    idx = np.nonzero(messages == message_id)[0]
-    if idx.size == 0:
+    codebook.encode_all()
+    start = codebook._preimage_start
+    if not (0 <= message_id < len(start) - 1
+            and start[message_id] < start[message_id + 1]):
         raise InvalidArgument("message has an empty source preimage")
-    sub = seqs[idx]
     e = np.asarray(e_seq)
-    # log2-posterior up to a constant: sum_i log2 p(a_i) + log2 p(e_i | a_i)
-    w = (codebook._log_prior[idx]
-         + codebook.log_e_given_a[sub, e[None, :]].sum(axis=1))
-    post = np.exp2(w - w.max())
-    post /= post.sum()
-    nz = post[post > 0]
-    # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
-    return float(0.0 - (nz * np.log2(nz)).sum()) / codebook.cfg.n
+    return float(codebook._equivocation_batch(np.array([message_id]), e[None])[0])
 
 
 @dataclass(frozen=True)
@@ -322,7 +413,9 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     encodes, decodes with b, and evaluates Eve's exact residual entropy.
     A decode failure (a codeword pair other than the encoder's) still
     reconstructs from the decoded pair. Deterministic given the config:
-    per-trial seeds derive from the master seed.
+    per-trial seeds derive from the master seed. Trials run in chunks of
+    at most CHUNK_CELLS array cells, so memory does not grow with
+    `cfg.trials`, and the records do not depend on the chunking.
     """
     if cfg.trials == 0:
         return TrialSummary([], 0.0, 0.0, 0.0, 0.0)
@@ -332,31 +425,38 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     p_abe = source.p_abe
     na, nb, ne = p_abe.shape
     p_a = p_abe.sum(axis=(1, 2))
-    p_be_given_a = p_abe / p_a[:, None, None]
-    # the (b, e) cdf per letter a, normalized as Generator.choice does
+    # the cdfs of p(a) and of p(b, e | a) per letter a, normalized as
+    # Generator.choice does; the row of a letter with p(a) = 0 is never read
+    cdf_a = p_a.cumsum()
+    cdf_a /= cdf_a[-1]
+    p_be_given_a = p_abe / np.where(p_a > 0, p_a, 1.0)[:, None, None]
     cdf_be = p_be_given_a.reshape(na, nb * ne).cumsum(axis=1)
-    cdf_be /= cdf_be[:, -1:]
+    cdf_be /= np.where(cdf_be[:, -1:] > 0, cdf_be[:, -1:], 1.0)
     d = source.distortion
 
+    n = cfg.n
+    pow_a = na ** np.arange(n - 1, -1, -1)
+    chunk = max(1, CHUNK_CELLS // codebook._trial_cells())
+    master = np.random.SeedSequence(cfg.seed)  # spawn() continues the children
     records = []
-    master = np.random.SeedSequence(cfg.seed)
-    child_seeds = master.spawn(cfg.trials)
-    pow_a = na ** np.arange(cfg.n - 1, -1, -1)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(child_seeds[t])
-        a_seq = rng.choice(na, size=cfg.n, p=p_a)
-        # one choice(nb * ne, p=p(b, e | a_i)) per letter, in a single draw
-        be = (cdf_be[a_seq] <= rng.random(cfg.n)[:, None]).sum(axis=1)
-        b_seq, e_seq = be // ne, be % ne
-        idx = int((a_seq * pow_a).sum())
-        msg_id = int(messages[idx])
-        r1, r2 = divmod(msg_id, codebook.n_bins[1])
-        a_hat, pair = codebook.decode((r1, r2), b_seq)
-        sent = divmod(int(codebook._encode_idx[idx]), len(codebook.v_bins))
-        dist = float(d[a_seq, a_hat].mean())
-        eq = exact_equivocation(codebook, msg_id, e_seq)
-        records.append(TrialRecord(t, bool(enc_ok[idx]), pair == sent,
-                                   dist, eq))
+    for first in range(0, cfg.trials, chunk):
+        seeds = master.spawn(min(chunk, cfg.trials - first))
+        # per trial, choice(na, n, p=p(a)) and then one choice(nb * ne,
+        # p=p(b, e | a_i)) per letter: the two halves of one random(2n)
+        draws = np.array([np.random.default_rng(s).random(2 * n) for s in seeds])
+        a_seqs = np.searchsorted(cdf_a, draws[:, :n], side="right")
+        be = (cdf_be[a_seqs] <= draws[:, n:, None]).sum(axis=2)
+        b_seqs, e_seqs = np.divmod(be, ne)
+        idx = (a_seqs * pow_a).sum(axis=1)
+        msg_ids = messages[idx]
+        s1, s2 = codebook._decode_batch(msg_ids, b_seqs)
+        a_hat = scheme.reconstruction[codebook.v_words[s1, s2], b_seqs]
+        dist = d[a_seqs, a_hat].mean(axis=1)
+        eq = codebook._equivocation_batch(msg_ids, e_seqs)
+        dec_ok = s1 * len(codebook.v_bins) + s2 == codebook._encode_idx[idx]
+        records.extend(
+            TrialRecord(first + k, bool(enc_ok[i]), bool(ok), float(dk), float(ek))
+            for k, (i, ok, dk, ek) in enumerate(zip(idx, dec_ok, dist, eq)))
 
     mean_d = float(np.mean([r.distortion for r in records]))
     mean_eq = float(np.mean([r.equivocation for r in records]))

@@ -93,6 +93,20 @@ class TestEval:
         assert main(["eval", "--source", source_file, "--scheme", str(bad)]) == EXIT_INPUT
         assert "non-numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("axis A: 0 1", "axis A: 0 0"),
+        ("input: 0 1\noutput: 0 1\nrow 0: 0.969", "input:\noutput: 0 1\nrow 0: 0.969"),
+    ], ids=["repeated-axis-label", "empty-input-line"])
+    def test_bad_alphabet_is_input_error(self, tmp_path, capsys, old, new):
+        source, scheme = tmp_path / "source.txt", tmp_path / "scheme.txt"
+        source.write_text(SOURCE_TEXT.replace(old, new))
+        scheme.write_text(SCHEME_TEXT.replace(old, new, 1))
+        argv = ["eval", "--source", str(source), "--scheme", str(scheme)]
+        assert main(argv) == EXIT_INPUT
+        if old.startswith("axis"):
+            assert main(["classify", "--source", str(source)]) == EXIT_INPUT
+        assert "error: alphabet" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--source", "{dir}", "--scheme", "{dir}"],
         ["classify", "--source", "{dir}"],

@@ -1,20 +1,24 @@
 """Unit tests for the finite-blocklength simulator."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from secrd.binary import BITS, BecBscParams, BinaryScheme, aux_scheme, build_source
-from secrd.probs import InvalidArgument, JointPmf, bec, bsc, joint_from
-from secrd.region import SecureSource
+from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, bec, bsc,
+                         joint_from)
+from secrd.region import AuxScheme, SecureSource
 from secrd.simulate import (
+    CHUNK_CELLS,
     SCORE_TOL,
     _LOG_FLOOR,
     Codebook,
     ResourceLimit,
     SimConfig,
     SimRates,
+    TrialRecord,
     exact_equivocation,
     run_trials,
     achievability_rates,
@@ -49,6 +53,99 @@ def canonical():
     src = build_source(PARAMS)
     aux = aux_scheme(PARAMS, SCHEME)
     return src, aux
+
+
+def case_source(case):
+    """(source, scheme) for the named reference case."""
+    if case.startswith("ternary"):  # |A| = 3; E's first symbol has no mass
+        rng = np.random.default_rng(7)
+        a, b, e = (Alphabet(tuple(f"{c}{i}" for i in range(k)))
+                   for c, k in (("a", 3), ("b", 2), ("e", 3)))
+        mass = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
+        mass[:, :, 0] = 0.0
+        if case == "ternary-zero-a":
+            mass[1] = 0.0
+        joint = JointPmf((("A", a), ("B", b), ("E", e)), mass / mass.sum())
+        v, u = Alphabet(("v0", "v1", "v2")), Alphabet(("u0", "u1"))
+        aux = AuxScheme(ConditionalPmf(a, v, rng.dirichlet(np.ones(3), size=3)),
+                        ConditionalPmf(v, u, rng.dirichlet(np.ones(2), size=3)),
+                        rng.integers(0, 3, size=(3, 2)))
+        return SecureSource(joint, 1.0 - np.eye(3), d_max=1.0), aux
+    if case == "skewed":  # p(a) = (0.95, 0.05)
+        prior = JointPmf((("A", BITS),), np.array([0.95, 0.05]))
+        joint = joint_from(prior, [("B", bec(PARAMS.eps), "A"),
+                                   ("E", bsc(PARAMS.p), "A")])
+        src = SecureSource(joint, build_source(PARAMS).distortion, d_max=1.0)
+        return src, aux_scheme(PARAMS, SCHEME)
+    params, scheme = {
+        "paper": (PARAMS, SCHEME),
+        "noiseless-bob": (BecBscParams(0.1, 0.0), BinaryScheme(0.0, 0.0)),
+        "p0": (BecBscParams(0.0, PARAMS.eps), SCHEME),
+    }[case]
+    return build_source(params), aux_scheme(params, scheme)
+
+
+def reference_decode(book, log_prior, message, b):
+    """Codeword pair by exact MAP over every source word, one trial."""
+    r1, r2 = message
+    seqs = book.encode_all()[2]
+    logw = log_prior + book.log_b_given_a[seqs, b[None, :]].sum(axis=1)
+    w = np.exp2(logw - logw.max())
+    m2 = len(book.v_bins)
+    scores = np.bincount(book._encode_idx, weights=w,
+                         minlength=len(book.u_words) * m2)
+    in_bins = ((book.u_bins[:, None] == r1) & (book.v_bins[None, :] == r2)).ravel()
+    scores = np.where(in_bins, scores, -1.0)
+    return divmod(int(np.argmax(scores >= scores.max() - SCORE_TOL)), m2)
+
+
+def reference_equivocation(book, log_prior, message_id, e):
+    """(1/n) H(A^n | W, E^n = e) from the message's preimage, one trial."""
+    messages, _, seqs = book.encode_all()
+    idx = np.nonzero(messages == message_id)[0]
+    w = log_prior[idx] + book.log_e_given_a[seqs[idx], e[None, :]].sum(axis=1)
+    post = np.exp2(w - w.max())
+    post /= post.sum()
+    nz = post[post > 0]
+    return float(0.0 - (nz * np.log2(nz)).sum()) / book.cfg.n
+
+
+def reference_trials(source, scheme, cfg):
+    """run_trials one trial at a time, decoding and equivocating over all words."""
+    book = Codebook(source, scheme, cfg)
+    messages, enc_ok, seqs = book.encode_all()
+    log_prior = book.log_a[seqs].sum(axis=1)
+    p_abe = source.p_abe
+    na, nb, ne = p_abe.shape
+    p_a = p_abe.sum(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # a letter with p(a) = 0 gives a NaN row
+        cdf_be = (p_abe / p_a[:, None, None]).reshape(na, nb * ne).cumsum(axis=1)
+        cdf_be /= cdf_be[:, -1:]
+    records = []
+    for t, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        rng = np.random.default_rng(child)
+        a = rng.choice(na, size=cfg.n, p=p_a)
+        be = (cdf_be[a] <= rng.random(cfg.n)[:, None]).sum(axis=1)
+        b, e = be // ne, be % ne
+        idx = int(np.ravel_multi_index(tuple(a), (na,) * cfg.n))
+        msg = int(messages[idx])
+        pair = reference_decode(book, log_prior, divmod(msg, book.n_bins[1]), b)
+        a_hat = scheme.reconstruction[book.v_words[pair], b]
+        records.append(TrialRecord(
+            t, bool(enc_ok[idx]),
+            pair == divmod(int(book._encode_idx[idx]), len(book.v_bins)),
+            float(source.distortion[a, a_hat].mean()),
+            reference_equivocation(book, log_prior, msg, e)))
+    return records
+
+
+def assert_records_match(got, want):
+    """Flags and distortion bitwise, equivocation within 1e-12."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.trial, g.encode_ok, g.decode_ok, g.distortion) == \
+            (w.trial, w.encode_ok, w.decode_ok, w.distortion)
+        assert g.equivocation == pytest.approx(w.equivocation, abs=1e-12)
 
 
 class TestRates:
@@ -141,6 +238,35 @@ class TestCodebook:
         assert summary.mean_distortion <= 0.01
 
 
+    def test_decode_below_tolerance_picks_lowest_in_bin_pair(self):
+        # B = A: a b_seq outside the preimage gives every preimage word
+        # p(b | a) = 0, so every in-bin pair scores 0. The paper's scheme
+        # spreads each bin over several pairs.
+        params = BecBscParams(0.1, 0.0)
+        src, aux = build_source(params), aux_scheme(params, SCHEME)
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=8, rates=rates, trials=1, seed=1))
+        messages, _, seqs = book.encode_all()
+        log_prior = book.log_a[seqs].sum(axis=1)
+        m2 = len(book.v_bins)
+        b_of_a = np.array([0, 2])  # B alphabet order: 0, e, 1
+        checked = 0
+        for msg in np.unique(messages):
+            r1, r2 = divmod(int(msg), book.n_bins[1])
+            if (book._encode_idx[messages == msg] == r1 * m2 + r2).any():
+                continue  # the lowest in-bin pair must not hold preimage mass
+            b = b_of_a[seqs[np.flatnonzero(messages != msg)[0]]]
+            a_hat, pair = book.decode((r1, r2), b)
+            assert pair == (r1, r2) == reference_decode(book, log_prior, (r1, r2), b)
+            np.testing.assert_array_equal(
+                a_hat, aux.reconstruction[book.v_words[r1, r2], b])
+            checked += 1
+        assert checked == 3
+        for outside in ((book.n_bins[0], 0), (0, -1)):
+            with pytest.raises(InvalidArgument):
+                book.decode(outside, b)
+
+
 class TestEquivocation:
     def test_bounds_and_determinism(self):
         src, aux = canonical()
@@ -210,6 +336,52 @@ class TestTrials:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert set(first[1]) <= {"0", "1"}
+
+    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "p0", "skewed",
+                                      "ternary", "ternary-zero-a"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+    def test_matches_per_trial_reference(self, case, n):
+        src, aux = case_source(case)
+        if case.startswith("ternary"):
+            n = min(n, 8)  # 3^10 words exceed ENUM_LIMIT
+        rates = achievability_rates(src, aux, slack=0.1)
+        cfg = SimConfig(n=n, rates=rates, trials=40, seed=n)
+        records = run_trials(src, aux, cfg).records
+        assert_records_match(records, reference_trials(src, aux, cfg))
+        if case == "noiseless-bob" and n == 10:
+            assert not all(r.encode_ok for r in records)
+
+    def one_message(self, trials):
+        """The paper source with N1 = N2 = 1: every preimage is all 2^10 words."""
+        src, aux = canonical()
+        cfg = SimConfig(n=10, rates=SimRates(0.3, 0.0, 0.2, 0.0), trials=trials, seed=5)
+        return src, aux, cfg
+
+    def test_records_do_not_depend_on_chunking(self):
+        src, aux, cfg = self.one_message(1)
+        book = Codebook(src, aux, cfg)
+        assert book.n_bins == (1, 1)
+        chunk = CHUNK_CELLS // book._trial_cells()
+        assert chunk >= 1
+        trials = 2 * chunk + 3  # two full chunks and a short one
+        src, aux, cfg = self.one_message(trials)
+        records = run_trials(src, aux, cfg).records
+        src, aux, longer = self.one_message(trials + chunk // 2)
+        assert run_trials(src, aux, longer).records[:trials] == records
+        assert_records_match(records, reference_trials(src, aux, cfg))
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            src, aux, cfg = self.one_message(trials)
+            tracemalloc.start()
+            try:
+                run_trials(src, aux, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 10x the trials adds only the records, about 0.2 KB each
+        assert peak(1000) < peak(100) + (1 << 20)
 
     def test_zero_trials(self):
         src, aux = canonical()
