@@ -12,6 +12,7 @@ from .probs import (
     InvalidArgument,
     JointPmf,
     ParseError,
+    ResourceLimit,
     binary_entropy,
     binary_star,
     compose,

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import binary as binary_mod
 from . import ordering, region, simulate
-from .probs import InvalidArgument, ParseError, _floats, load_conditional, load_joint
+from .probs import (
+    InvalidArgument,
+    ParseError,
+    ResourceLimit,
+    _floats,
+    load_conditional,
+    load_joint,
+)
 from .region import AuxScheme, SearchConfig, SecureSource, best_reconstruction
 
 EXIT_OK = 0
@@ -272,7 +279,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except simulate.ResourceLimit as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvalidArgument as exc:

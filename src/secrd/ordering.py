@@ -2,9 +2,10 @@
 
 Three nested relations are considered, from strongest to weakest:
 stochastically degraded, less noisy, more capable. Degradedness is a
-linear feasibility question; the more-capable test is a direct mutual
-information comparison; general less-noisy testing is undecidable on a
-finite grid, so the search reports evidence or a counterexample.
+linear feasibility question, decided by a small dense simplex in this
+module (numpy only, no LP library); the more-capable test is a direct
+mutual information comparison; general less-noisy testing is undecidable
+on a finite grid, so the search reports evidence or a counterexample.
 
 For the BEC/BSC family of the worked example the three thresholds in
 the erasure probability are 2p, 4p(1-p) and h2(p).
@@ -21,12 +22,15 @@ from .probs import (
     ConditionalPmf,
     InvalidArgument,
     JointPmf,
+    ResourceLimit,
     batch_entropy,
     binary_entropy,
 )
 from .region import SecureSource, _channel_grid
 
 FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-9     # smallest pivot element and improving reduced cost
+MAX_PIVOTS = 10_000  # the degradedness simplex gives up after this many
 
 
 @dataclass(frozen=True)
@@ -80,40 +84,81 @@ class OrderingVerdict:
         return " ".join(parts)
 
 
+def _bland(t: np.ndarray, basis: np.ndarray) -> None:
+    """Pivot a feasible canonical tableau to a minimum, in place.
+
+    `t` holds one row per constraint plus a last row of reduced costs, and
+    its last column the right-hand sides; basis[i] is row i's basic column.
+    Bland's rule: the lowest-index improving column enters, and ratio ties
+    leave by lowest basis index. Raises ResourceLimit after MAX_PIVOTS.
+    """
+    m, n = t.shape[0] - 1, t.shape[1] - 1
+    for pivots in range(MAX_PIVOTS + 1):
+        j = np.argmax(t[m, :n] < -PIVOT_TOL)
+        if t[m, j] >= -PIVOT_TOL:
+            return
+        rows = np.nonzero(t[:m, j] > PIVOT_TOL)[0]  # empty only by round-off
+        if pivots == MAX_PIVOTS or not rows.size:
+            raise ResourceLimit(f"degradedness simplex stalled after {pivots} pivots")
+        ratios = t[rows, -1] / t[rows, j]
+        ties = rows[ratios == ratios.min()]
+        i = ties[np.argmin(basis[ties])]
+        t[i] /= t[i, j]
+        col = t[:, j].copy()
+        col[i] = 0.0
+        t -= np.outer(col, t[i])
+        basis[i] = j
+
+
+def _l1_simplex(pb: np.ndarray, pe: np.ndarray) -> np.ndarray:
+    """The row-stochastic q minimizing sum |pb q - pe|.
+
+    The start puts every row of q on the last output, which is feasible, so
+    no phase 1 is needed. Variables: q without its last column; one slack
+    per row of q (q[b, -1] itself, from sum_e q[b, e] = 1); and per residual
+    r = pb q - pe a pair w, w' >= 0 with w - w' = +-r, its sign chosen so
+    that the start value |r| sits in w.
+    """
+    na, nb = pb.shape
+    ne = pe.shape[1]
+    nx, nr = nb * (ne - 1), na * ne
+    m, n = nb + nr, nx + nb + 2 * nr
+    r0 = -pe.copy()  # the residual at the start
+    r0[:, -1] += pb.sum(axis=1)
+    r0 = r0.ravel()
+    # d r[a, e] / d q[b, e'] = pb[a, b] (delta(e, e') - delta(e, ne - 1))
+    shift = np.eye(ne)[:, :-1] - np.eye(ne)[:, -1:]
+    t = np.zeros((m + 1, n + 1))
+    t[:nb, :nx] = np.repeat(np.eye(nb), ne - 1, axis=1)
+    t[:nb, -1] = 1.0
+    t[nb:m, :nx] = (pb[:, None, :, None] * shift[None, :, None, :]).reshape(nr, nx)
+    t[nb:m, :nx] *= np.where(r0 < 0.0, 1.0, -1.0)[:, None]
+    t[nb:m, -1] = np.abs(r0)
+    basis = np.arange(nx, nx + m)  # the slacks of q's rows, then the w's
+    t[:m, basis] = np.eye(m)
+    t[nb:m, nx + m:n] = -np.eye(nr)
+    t[m, nx + nb:n] = 1.0
+    t[m] -= t[nb:m].sum(axis=0)  # price out the starting w's
+    _bland(t, basis)
+    x = np.zeros(n)
+    x[basis] = t[:m, -1]
+    return np.column_stack([x[:nx].reshape(nb, ne - 1), x[nx:nx + nb]])
+
+
 def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
                 tol: float = FEAS_TOL) -> tuple[bool, ConditionalPmf | None]:
     """Is `second` a stochastically degraded version of `first`?
 
     Decides feasibility of p(e|a) = sum_b p(b|a) q(e|b) over row-stochastic
     q >= 0 by minimizing the L1 residual with an LP; returns the witness
-    channel q when feasible.
+    channel q when feasible. Raises ResourceLimit if the simplex stalls.
     """
-    from scipy.optimize import linprog  # deferred: importing scipy.optimize is slow
-
     if first.input != second.input:
         raise InvalidArgument("channels must share their input alphabet")
-    pb = np.asarray(first.rows)   # |A| x |B|
-    pe = np.asarray(second.rows)  # |A| x |E|
-    na, nb = pb.shape
-    ne = pe.shape[1]
-    nq = nb * ne
-    # variables: q (flattened row-major), t (slack per equality constraint)
-    nt = na * ne
-    c = np.concatenate([np.zeros(nq), np.ones(nt)])
-    # |(pb q)_{a,e} - pe_{a,e}| <= t_{a,e}
-    m = np.kron(pb, np.eye(ne))  # m[a * ne + e, b * ne + e] = pb[a, b]
-    a_ub = np.block([[m, -np.eye(nt)], [-m, -np.eye(nt)]])
-    b_ub = np.concatenate([pe.ravel(), -pe.ravel()])
-    # rows of q sum to 1
-    a_eq = np.hstack([np.kron(np.eye(nb), np.ones(ne)), np.zeros((nb, nt))])
-    b_eq = np.ones(nb)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (nq + nt), method="highs")
-    if not res.success:
-        raise RuntimeError(f"degradedness LP failed: {res.message}")
-    if res.fun > tol * nt + tol:
+    pb, pe = first.rows, second.rows
+    q = _l1_simplex(pb, pe)
+    if np.abs(pb @ q - pe).sum() > tol * pe.size + tol:
         return False, None
-    q = res.x[:nq].reshape(nb, ne)
     q = np.clip(q, 0.0, None)
     q /= q.sum(axis=1, keepdims=True)
     return True, ConditionalPmf(first.output, second.output, q)
@@ -186,7 +231,7 @@ def classify_source(source: SecureSource) -> OrderingVerdict:
 
 
 def less_noisy_search(source: SecureSource, resolution: int = 40,
-                      u_size: int | None = None, tol: float = FEAS_TOL):
+                      u_size: int = 2, tol: float = FEAS_TOL):
     """Grid search for a violation of I(U;B) >= I(U;E).
 
     Auxiliary U is parameterized by a channel A -> U (which enforces the
@@ -195,12 +240,11 @@ def less_noisy_search(source: SecureSource, resolution: int = 40,
     is found, else ("no-violation", resolution) -- evidence, not proof.
     """
     a = source.a_alphabet
-    u_size = u_size or 2
     if u_size > len(a) + 1:
         raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
-    u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
     # every channel A -> U on the region search's lattice, as one batch
     channels = _channel_grid(len(a), u_size, resolution)
+    u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
     p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
     violation = _information(p_ea @ channels) - _information(p_ba @ channels)
     worst = int(np.argmax(violation))  # the first of equal maxima

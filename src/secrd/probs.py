@@ -23,6 +23,10 @@ class ParseError(ValueError):
     """Raised when a serialized pmf fails validation."""
 
 
+class ResourceLimit(RuntimeError):
+    """Raised when a computation would exceed its work or memory budget."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     symbols: tuple[str, ...]

@@ -251,6 +251,9 @@ def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
     Shape (M, n_in, n_out). Rows run over the simplex grid in lexicographic
     order, and the last input's row varies fastest.
     """
+    if n_out < 1 or resolution < 1:
+        raise InvalidArgument(f"a channel grid needs at least one output and "
+                              f"resolution >= 1, got {n_out} and {resolution}")
     rows = np.array([c + (resolution - sum(c),)
                      for c in product(range(resolution + 1), repeat=n_out - 1)
                      if sum(c) <= resolution]) / resolution

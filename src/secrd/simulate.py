@@ -30,15 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probs import InvalidArgument, batch_entropy
+from .probs import InvalidArgument, ResourceLimit, batch_entropy
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
 CHUNK_CELLS = 1 << 14  # cap on the cells of one chunk of trials' arrays
-
-
-class ResourceLimit(RuntimeError):
-    """Raised when a configuration exceeds the enumeration/memory budget."""
 
 
 @dataclass(frozen=True)

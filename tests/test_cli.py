@@ -208,6 +208,13 @@ class TestClassify:
         assert code == EXIT_OK
         assert "degraded=" in out and "rev_degraded=" in out
 
+    def test_solver_failure_is_resource_error(self, source_file, capsys, monkeypatch):
+        monkeypatch.setattr("secrd.ordering.MAX_PIVOTS", 0)
+        assert main(["classify", "--source", source_file]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: degradedness simplex stalled")
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_csv_output_and_determinism(self, tmp_path):

@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secrd
+from secrd import ordering
 from secrd.binary import BecBscParams, build_source
 from secrd.ordering import (
+    FEAS_TOL,
     OrderingVerdict,
     classify_bec_bsc,
     classify_source,
@@ -21,14 +25,23 @@ from secrd.ordering import (
 )
 from secrd.probs import (
     Alphabet,
+    ConditionalPmf,
     InvalidArgument,
     JointPmf,
+    ResourceLimit,
     binary_entropy,
     bsc,
     bec,
     compose,
 )
-from secrd.region import SecureSource
+from secrd.region import SecureSource, _channel_grid
+
+
+def _channel(rows, name="y"):
+    rows = np.asarray(rows, dtype=float)
+    return ConditionalPmf(Alphabet(tuple(f"x{i}" for i in range(rows.shape[0]))),
+                          Alphabet(tuple(f"{name}{i}" for i in range(rows.shape[1]))),
+                          rows / rows.sum(axis=1, keepdims=True))
 
 
 class TestParams:
@@ -60,11 +73,134 @@ class TestDegradedness:
         assert not is_degraded(bec(0.21), bsc(0.1))[0]
 
     def test_input_alphabet_mismatch(self):
-        from secrd.probs import ConditionalPmf
-
         ternary_in = ConditionalPmf(bec(0.1).output, bec(0.1).output, np.eye(3))
         with pytest.raises(InvalidArgument):
             is_degraded(bec(0.1), ternary_in)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ordering, "MAX_PIVOTS", 0)
+        with pytest.raises(ResourceLimit, match="stalled after 0 pivots"):
+            is_degraded(bec(0.19), bsc(0.1))
+
+    @pytest.mark.parametrize("first, second, degraded", [
+        # the best q averages two equal P_B rows: the residual is 6e-8
+        ([[1, 0, 0], [1, 0, 0]], [[0.5, 0, 0.5], [0.5 - 2 ** -26, 2 ** -25, 0.5 - 2 ** -26]],
+         False),
+        # q's rows for b1 and b2 reproduce the last P_E row exactly
+        ([[1, 0, 0], [1, 0, 0], [0, 0.5, 0.5]], [[1, 0, 0, 0], [1, 0, 0, 0],
+                                                  [0.5, 0, 0.5 - 2 ** -25, 2 ** -25]],
+         True),
+    ], ids=["miss-by-6e-8", "exact-with-3e-8-entry"])
+    def test_near_threshold(self, first, second, degraded):
+        # hypothesis found these float pairs. On both, HiGHS reported
+        # res.fun = -3e-8, an error within its 1e-7 feasibility tolerance, so
+        # the expected verdicts are worked out by hand
+        first, second = _channel(first, "b"), _channel(second, "e")
+        verdict, witness = is_degraded(first, second)
+        assert verdict == degraded
+        if degraded:
+            np.testing.assert_allclose(first.rows @ witness.rows, second.rows,
+                                       rtol=0, atol=1e-9)
+
+
+def _linprog_verdict(first, second, tol=FEAS_TOL):
+    """The degradedness LP as scipy's HiGHS solved it before the in-package
+    simplex: the same L1 residual over row-stochastic q, the same test."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    pb, pe = first.rows, second.rows
+    na, nb = pb.shape
+    ne = pe.shape[1]
+    nq, nt = nb * ne, na * ne
+    m = np.kron(pb, np.eye(ne))
+    res = linprog(np.concatenate([np.zeros(nq), np.ones(nt)]),
+                  A_ub=np.block([[m, -np.eye(nt)], [-m, -np.eye(nt)]]),
+                  b_ub=np.concatenate([pe.ravel(), -pe.ravel()]),
+                  A_eq=np.hstack([np.kron(np.eye(nb), np.ones(ne)), np.zeros((nb, nt))]),
+                  b_eq=np.ones(nb), bounds=[(0, None)] * (nq + nt), method="highs")
+    assert res.success, res.message
+    return not res.fun > tol * nt + tol
+
+
+def _assert_matches_linprog(first, second):
+    verdict, witness = is_degraded(first, second)
+    assert verdict == _linprog_verdict(first, second)
+    if verdict:
+        np.testing.assert_allclose(first.rows @ witness.rows, second.rows,
+                                   rtol=0, atol=1e-9)
+    else:
+        assert witness is None
+
+
+def _stochastic(draw, n_in, n_out):
+    """Rows of small integer weights. Such pairs are degraded or miss by far
+    more than HiGHS's 1e-7 feasibility tolerance, within which `res.fun`
+    cannot decide the 1e-9 test (see `test_near_threshold`)."""
+    w = np.array(draw(st.lists(st.integers(0, 8), min_size=n_in * n_out,
+                               max_size=n_in * n_out)), dtype=float).reshape(n_in, n_out)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def channel_pairs(draw):
+    na, nb, ne = (draw(st.integers(2, 5)) for _ in range(3))
+    first = _stochastic(draw, na, nb)
+    if draw(st.booleans()):  # degraded by construction: P_E = P_B Q
+        second = first @ _stochastic(draw, nb, ne)
+    else:
+        second = _stochastic(draw, na, ne)
+    return _channel(first, "b"), _channel(second, "e")
+
+
+def _perturbed(rows, seed):
+    rows = np.asarray(rows, dtype=float)
+    noise = 1e-16 * np.random.default_rng(seed).choice([-1.0, 1.0], rows.shape)
+    return np.where(rows > 0, rows + noise, 0.0)
+
+
+DETERMINISTIC = [[1, 0, 0], [0, 0, 1], [1, 0, 0]]
+ZERO_COLUMN = [[0.5, 0, 0.5], [0.2, 0, 0.8], [0.9, 0, 0.1]]
+
+
+class TestDegradedAgainstLinprog:
+    """`is_degraded` against the scipy LP it replaced (skipped without scipy)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(channel_pairs())
+    def test_random_pairs(self, pair):
+        _assert_matches_linprog(*pair)
+
+    @pytest.mark.parametrize("first, second", [
+        (np.eye(3), [[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]),
+        ([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]], np.eye(2)[[0, 1, 1]]),
+        (np.eye(4), np.eye(4)),
+        (np.eye(3), np.eye(3)[[2, 0, 1]]),
+        ([[0.3, 0.7], [0.6, 0.4]], [[1.0], [1.0]]),
+        ([[1.0], [1.0]], [[0.3, 0.7], [0.6, 0.4]]),
+        (DETERMINISTIC, [[0.1, 0.9], [0.7, 0.3], [0.1, 0.9]]),
+        (DETERMINISTIC, [[0.1, 0.9], [0.7, 0.3], [0.2, 0.8]]),
+        ([[0.1, 0.9], [0.7, 0.3], [0.1, 0.9]], DETERMINISTIC),
+        (ZERO_COLUMN, ZERO_COLUMN),
+        (ZERO_COLUMN, np.array(ZERO_COLUMN) @ [[0, 1], [1, 0], [0.5, 0.5]]),
+        (ZERO_COLUMN, [[0, 0.5, 0.5], [0, 0.8, 0.2], [0, 0.1, 0.9]]),
+        (_perturbed(bsc(0.1).rows, 0), _perturbed(bsc(0.1).rows, 1)),
+        (_perturbed(bec(0.2).rows, 2), _perturbed(bsc(0.1).rows, 3)),
+        (_perturbed(bsc(0.1).rows, 4), _perturbed(bec(0.2).rows, 5)),
+        (_perturbed(ZERO_COLUMN, 6), _perturbed(ZERO_COLUMN, 7)),
+        (_perturbed(DETERMINISTIC, 8), _perturbed(np.array(DETERMINISTIC)[:, ::-1], 9)),
+    ], ids=["identity-first", "identity-second", "identity-both", "permutation",
+            "one-output", "one-output-first", "deterministic-yes", "deterministic-no",
+            "deterministic-second", "zero-column-same", "zero-column-yes",
+            "zero-column-no", "perturbed-bsc", "perturbed-bec-bsc",
+            "perturbed-bsc-bec", "perturbed-zero-column", "perturbed-deterministic"])
+    def test_special_cases(self, first, second):
+        _assert_matches_linprog(_channel(first, "b"), _channel(second, "e"))
+
+    @pytest.mark.parametrize("p", np.linspace(0.02, 0.48, 6))
+    def test_bec_bsc_grid_both_directions(self, p):
+        for eps in np.linspace(0.01, 0.99, 12):
+            _assert_matches_linprog(bec(eps), bsc(p))
+            _assert_matches_linprog(bsc(p), bec(eps))
 
 
 class TestMoreCapable:
@@ -129,6 +265,18 @@ class TestLessNoisySearch:
         with pytest.raises(InvalidArgument):
             less_noisy_search(src, u_size=4)
 
+    @pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -2},
+                                        {"u_size": 0}])
+    def test_rejects_empty_grids(self, kwargs):
+        src = build_source(BecBscParams(0.1, 0.3))
+        with pytest.raises(InvalidArgument):
+            less_noisy_search(src, **kwargs)
+
+    @pytest.mark.parametrize("n_out, resolution", [(2, 0), (2, -2), (0, 4)])
+    def test_channel_grid_rejects_empty_grids(self, n_out, resolution):
+        with pytest.raises(InvalidArgument):
+            _channel_grid(2, n_out, resolution)
+
 
 def _source(order, mass, shape):
     """A source with joint p(a, b, e) = `mass`, stored with its axes in `order`."""
@@ -188,10 +336,24 @@ def test_side_channels_recover_constructors():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is imported on the first degradedness test, not with secrd
+    # neither `import secrd` nor `secrd classify --source` imports any scipy
+    # module; the classify run blocks scipy and must print the same record
+    root = Path(__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(secrd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, secrd; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    loaded = "print([m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v])"
+    runs = {
+        "import": f"import sys, secrd; {loaded}",
+        "classify": ("import sys; sys.modules['scipy'] = None\n"
+                     "from secrd.cli import main\n"
+                     "assert main(['classify', '--source', "
+                     f"{str(root / 'perfbench/data/bec_bsc_p0.1_eps0.9.txt')!r}]) == 0\n"
+                     f"{loaded}"),
+    }
+    out = {name: subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout
+           for name, code in runs.items()}
+    assert out["import"] == "[]\n"
+    assert out["classify"] == (
+        "degraded=no less_noisy=no more_capable=no "
+        "rev_degraded=no rev_less_noisy=unknown rev_more_capable=yes\n[]\n")
