@@ -9,8 +9,6 @@ evaluator via `oracle_check`.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +21,7 @@ from .probs import (
     binary_entropy,
     binary_star,
     bsc,
+    csv_text,
 )
 from .region import AuxScheme, RDETuple, SecureSource, evaluate_scheme
 
@@ -176,14 +175,9 @@ def sweep_curve(params: BecBscParams, d_grid) -> list[CurvePoint]:
 
 
 def curve_csv(points: list[CurvePoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["D", "delta_general", "delta_wz", "alpha", "beta_opt"])
-    for pt in points:
-        writer.writerow([f"{pt.D:.6f}", f"{pt.delta_general:.6f}",
-                         f"{pt.delta_wz:.6f}", f"{pt.alpha:.6f}",
-                         f"{pt.beta_opt:.6f}"])
-    return buf.getvalue()
+    return csv_text(["D", "delta_general", "delta_wz", "alpha", "beta_opt"],
+                    ([pt.D, pt.delta_general, pt.delta_wz, pt.alpha, pt.beta_opt]
+                     for pt in points))
 
 
 TABLE_COLUMNS = (
@@ -248,12 +242,8 @@ def table_text(columns) -> str:
 
 
 def table_csv(columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["column", "R", "D", "Delta", "alpha", "beta"])
+    rows = []
     for c in TABLE_COLUMNS:
         tup, scheme = columns[c]
-        writer.writerow([c, f"{tup.rate:.6f}", f"{tup.distortion:.6f}",
-                         f"{tup.equivocation:.6f}", f"{scheme.alpha:.6f}",
-                         f"{scheme.beta:.6f}"])
-    return buf.getvalue()
+        rows.append([c, *tup, scheme.alpha, scheme.beta])
+    return csv_text(["column", "R", "D", "Delta", "alpha", "beta"], rows)

@@ -21,9 +21,10 @@ from .probs import (
     InvalidArgument,
     ParseError,
     ResourceLimit,
-    _floats,
-    load_conditional,
-    load_joint,
+    _checked,
+    _clean_lines,
+    load_scheme,
+    load_source,
 )
 from .region import AuxScheme, SearchConfig, SecureSource, best_reconstruction
 
@@ -36,17 +37,11 @@ EXIT_RESOURCE = 4
 def _read_config(path: str) -> dict[str, str]:
     """Key-value config file: one `key value` (or `key = value`) per line."""
     out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            key, _, val = line.partition(" ")
+    for line in _clean_lines(Path(path).read_text()):
+        key, _, val = line.partition("=" if "=" in line else " ")
         key, val = key.strip(), val.strip()
         if not key or not val:
-            raise ParseError(f"malformed config line: {raw!r}")
+            raise ParseError(f"malformed config line: {line!r}")
         out[key.replace("-", "_")] = val
     return out
 
@@ -74,51 +69,17 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
 
 
 def load_source_file(path: str) -> SecureSource:
-    """Source file: a joint block over A, B, E plus distortion lines.
-
-        joint
-        axis A: 0 1
-        axis B: 0 e 1
-        axis E: 0 1
-        mass: ...
-        dmax: 1.0
-        distortion: <|A|*|A| row-major floats>
-    """
-    text = Path(path).read_text()
-    joint_lines, dmax, dist = [], [1.0], None
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped.startswith("dmax:"):
-            dmax = _floats(stripped[5:], stripped)
-        elif stripped.startswith("distortion:"):
-            dist = _floats(stripped[11:], stripped)
-        else:
-            joint_lines.append(line)
-    joint = load_joint("\n".join(joint_lines))
-    na = len(joint.alphabet("A"))
-    if len(dmax) != 1:
-        raise ParseError(f"'dmax:' needs one value, got {len(dmax)}")
-    if dist is None:
-        raise ParseError("source file missing 'distortion:' line")
-    if len(dist) != na * na:
-        raise ParseError(f"distortion needs {na * na} entries, got {len(dist)}")
-    return SecureSource(joint, np.array(dist).reshape(na, na), d_max=dmax[0])
+    """The source in the file at `path`, in the format of `probs.load_source`."""
+    return _checked(SecureSource, *load_source(Path(path).read_text()))
 
 
 def load_scheme_file(path: str, source: SecureSource) -> AuxScheme:
-    """Scheme file: two conditional blocks separated by a line '---'.
+    """The scheme in the file at `path`, in the format of `probs.load_scheme`.
 
-    First block is the A->V channel, second the V->U channel. The
-    reconstruction map is the distortion-optimal one.
+    The reconstruction map is the distortion-optimal one for `source`.
     """
-    text = Path(path).read_text()
-    blocks = [b for b in text.split("---") if b.strip()]
-    if len(blocks) != 2:
-        raise ParseError("scheme file needs two '---'-separated conditional blocks")
-    v_channel = load_conditional(blocks[0])
-    u_channel = load_conditional(blocks[1])
-    recon = best_reconstruction(source, v_channel)
-    return AuxScheme(v_channel, u_channel, recon)
+    v_channel, u_channel = load_scheme(Path(path).read_text())
+    return AuxScheme(v_channel, u_channel, best_reconstruction(source, v_channel))
 
 
 def _write(out: str | None, text: str) -> None:
@@ -153,6 +114,8 @@ def _grid(stop: float, num: int) -> np.ndarray:
 def cmd_sweep(args) -> int:
     if not args.d_max >= 0.0:
         raise InvalidArgument(f"--d-max must be >= 0, got {args.d_max}")
+    if args.rate_budget is not None and not args.rate_budget >= 0.0:
+        raise InvalidArgument(f"--rate-budget must be >= 0, got {args.rate_budget}")
     params = ordering.BecBscParams(args.p, args.eps)
     source = binary_mod.build_source(params)
     grid = _grid(args.d_max, args.grid)
@@ -167,9 +130,7 @@ def cmd_binary(args) -> int:
     if args.curve:
         if args.format == "text":
             raise InvalidArgument("--curve writes CSV; --format text is not available")
-        eps = params.eps
-        grid = _grid(eps / 2.0, args.grid) if eps > 0 else [0.0]
-        points = binary_mod.sweep_curve(params, grid)
+        points = binary_mod.sweep_curve(params, _grid(params.eps / 2.0, args.grid))
         _write(args.out, binary_mod.curve_csv(points))
         return EXIT_OK
     columns = binary_mod.benchmark_table(params, rate_budget_fraction=args.rate_budget)

@@ -7,7 +7,10 @@ sparse storage. All logs are base 2 and 0*log(0) = 0 throughout.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,8 +52,8 @@ class Alphabet:
 
 def _as_prob_array(values, shape) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(shape)
-    if np.any(arr < -PMF_TOL):
-        raise InvalidArgument("probabilities must be nonnegative")
+    if not np.all(arr >= -PMF_TOL):  # also false for NaN
+        raise InvalidArgument("probabilities must be nonnegative numbers, not NaN")
     return np.clip(arr, 0.0, None)
 
 
@@ -251,125 +254,149 @@ def constant_channel(input_alphabet: Alphabet) -> ConditionalPmf:
 
 
 # ---------------------------------------------------------------------------
-# Structured-text serialization.
+# Text formats. A block is a header line, then `key [argument]: values`
+# lines in any order; blank lines and text after '#' are ignored. Each key
+# appears once, except `axis` and `row`, which appear once per argument.
 #
-# Joint pmf:
-#     joint
-#     axis <name>: <sym> <sym> ...
-#     ...
-#     mass: <row-major floats>
+#     joint                          conditional
+#     axis <name>: <symbols>         input: <symbols>
+#     mass: <row-major floats>       output: <symbols>
+#                                    row <input symbol>: <floats>
 #
-# Conditional pmf:
-#     conditional
-#     input: <sym> <sym> ...
-#     output: <sym> <sym> ...
-#     row <sym>: <floats>
-#     ...
-#
-# Blank lines and '#' comments are ignored.
+# A source is a joint over A, B, E whose block also holds `dmax: <float>`
+# (default 1) and `distortion: <|A|*|A| row-major floats>`. A scheme is the
+# conditionals p(v|a) and p(u|v), separated by a line '---'.
 # ---------------------------------------------------------------------------
+
+_JOINT_KEYS = {"axis": True, "mass": False}
+_SOURCE_KEYS = {**_JOINT_KEYS, "dmax": False, "distortion": False}
+_CONDITIONAL_KEYS = {"input": False, "output": False, "row": True}
 
 
 def _clean_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    """The nonblank lines of `text`, without comments or outer whitespace."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]
 
 
-def _floats(text: str, line: str) -> list[float]:
+def _checked(build, *args, line: str = ""):
+    """build(*args), an InvalidArgument reported as a ParseError."""
     try:
-        return [float(t) for t in text.split()]
+        return build(*args)
+    except InvalidArgument as exc:
+        raise ParseError(f"{exc} in line: {line!r}" if line else str(exc)) from None
+
+
+def _fields(lines: list[str], header: str, keys: dict[str, bool]) -> dict[str, dict]:
+    """The `key [argument]: values` lines under a `header` line.
+
+    `keys` maps each allowed key to whether it takes one argument. Returns
+    {key: {argument: (value tokens, line)}} in file order, with argument
+    None for a key that takes none.
+    """
+    if not lines or lines[0] != header:
+        raise ParseError(f"expected {header!r} header")
+    fields = {key: {} for key in keys}
+    for line in lines[1:]:
+        head, colon, values = line.partition(":")
+        key, *args = head.split() or [""]
+        if not colon or key not in keys:
+            raise ParseError(f"unrecognized line: {line!r}")
+        if len(args) != keys[key]:
+            raise ParseError(f"{key!r} takes {'one argument' if keys[key] else 'no argument'}"
+                             f" in line: {line!r}")
+        arg = args[0] if args else None
+        if arg in fields[key]:
+            raise ParseError(f"repeated {' '.join(head.split())!r} line: {line!r}")
+        fields[key][arg] = (values.split(), line)
+    return fields
+
+
+def _floats(values: list[str], line: str) -> list[float]:
+    try:
+        return [float(t) for t in values]
     except ValueError:
         raise ParseError(f"non-numeric value in line: {line!r}") from None
 
 
-def _alphabet(symbols: tuple[str, ...], line: str) -> Alphabet:
-    try:
-        return Alphabet(symbols)
-    except InvalidArgument as exc:
-        raise ParseError(f"{exc} in line: {line!r}") from None
+def _alphabet(values: list[str], line: str) -> Alphabet:
+    return _checked(Alphabet, tuple(values), line=line)
 
 
-def dump_joint(pmf: JointPmf) -> str:
-    lines = ["joint"]
-    for name, alph in pmf.axes:
-        lines.append(f"axis {name}: " + " ".join(alph.symbols))
-    lines.append("mass: " + " ".join(f"{x:.17g}" for x in pmf.mass.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def load_joint(text: str) -> JointPmf:
-    lines = _clean_lines(text)
-    if not lines or lines[0] != "joint":
-        raise ParseError("expected 'joint' header")
-    axes: list[tuple[str, Alphabet]] = []
-    mass = None
-    for line in lines[1:]:
-        if line.startswith("axis "):
-            head, _, rest = line[5:].partition(":")
-            name = head.strip()
-            symbols = tuple(rest.split())
-            if not name or not symbols:
-                raise ParseError(f"malformed axis line: {line!r}")
-            axes.append((name, _alphabet(symbols, line)))
-        elif line.startswith("mass:"):
-            mass = _floats(line[5:], line)
-        else:
-            raise ParseError(f"unrecognized line: {line!r}")
+def _joint(fields: dict[str, dict]) -> JointPmf:
+    axes = tuple((name, _alphabet(*got)) for name, got in fields["axis"].items())
     if not axes:
         raise ParseError("joint pmf needs at least one axis")
-    if mass is None:
+    if not fields["mass"]:
         raise ParseError("joint pmf missing 'mass:' line")
+    mass = _floats(*fields["mass"][None])
     shape = tuple(len(a) for _, a in axes)
     if len(mass) != int(np.prod(shape)):
         raise ParseError(
             f"mass has {len(mass)} entries, expected {int(np.prod(shape))}"
         )
-    try:
-        return JointPmf(tuple(axes), np.asarray(mass).reshape(shape))
-    except InvalidArgument as exc:
-        raise ParseError(str(exc)) from exc
+    return _checked(JointPmf, axes, np.reshape(mass, shape))
 
 
-def dump_conditional(ch: ConditionalPmf) -> str:
-    lines = ["conditional"]
-    lines.append("input: " + " ".join(ch.input.symbols))
-    lines.append("output: " + " ".join(ch.output.symbols))
-    for sym, row in zip(ch.input.symbols, ch.rows):
-        lines.append(f"row {sym}: " + " ".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_conditional(text: str) -> ConditionalPmf:
-    lines = _clean_lines(text)
-    if not lines or lines[0] != "conditional":
-        raise ParseError("expected 'conditional' header")
-    input_alph = output_alph = None
-    rows: dict[str, list[float]] = {}
-    for line in lines[1:]:
-        if line.startswith("input:"):
-            input_alph = _alphabet(tuple(line[6:].split()), line)
-        elif line.startswith("output:"):
-            output_alph = _alphabet(tuple(line[7:].split()), line)
-        elif line.startswith("row "):
-            head, _, rest = line[4:].partition(":")
-            rows[head.strip()] = _floats(rest, line)
-        else:
-            raise ParseError(f"unrecognized line: {line!r}")
-    if input_alph is None or output_alph is None:
+def _conditional(fields: dict[str, dict]) -> ConditionalPmf:
+    if not (fields["input"] and fields["output"]):
         raise ParseError("conditional pmf needs 'input:' and 'output:' lines")
+    input_alph = _alphabet(*fields["input"][None])
+    output_alph = _alphabet(*fields["output"][None])
+    rows = fields["row"]
+    for sym, (_, line) in rows.items():
+        if sym not in input_alph.symbols:
+            raise ParseError(f"row symbol {sym!r} is not an 'input:' symbol in line: {line!r}")
     matrix = []
     for sym in input_alph.symbols:
         if sym not in rows:
             raise ParseError(f"missing row for input symbol {sym!r}")
-        if len(rows[sym]) != len(output_alph):
-            raise ParseError(f"row {sym!r} has {len(rows[sym])} entries, "
+        row = _floats(*rows[sym])
+        if len(row) != len(output_alph):
+            raise ParseError(f"row {sym!r} has {len(row)} entries, "
                              f"expected {len(output_alph)}")
-        matrix.append(rows[sym])
-    try:
-        return ConditionalPmf(input_alph, output_alph, matrix)
-    except InvalidArgument as exc:
-        raise ParseError(f"invalid conditional pmf: {exc}") from exc
+        matrix.append(row)
+    return _checked(ConditionalPmf, input_alph, output_alph, matrix)
+
+
+def load_joint(text: str) -> JointPmf:
+    return _joint(_fields(_clean_lines(text), "joint", _JOINT_KEYS))
+
+
+def load_conditional(text: str) -> ConditionalPmf:
+    return _conditional(_fields(_clean_lines(text), "conditional", _CONDITIONAL_KEYS))
+
+
+def load_source(text: str) -> tuple[JointPmf, np.ndarray, float]:
+    """(joint, distortion, d_max) of a source file's text."""
+    fields = _fields(_clean_lines(text), "joint", _SOURCE_KEYS)
+    joint = _joint(fields)
+    na = len(_checked(joint.alphabet, "A"))
+    dmax = _floats(*fields["dmax"][None]) if fields["dmax"] else [1.0]
+    if len(dmax) != 1:
+        raise ParseError(f"'dmax:' needs one value, got {len(dmax)}")
+    if not fields["distortion"]:
+        raise ParseError("source file missing 'distortion:' line")
+    dist = _floats(*fields["distortion"][None])
+    if len(dist) != na * na:
+        raise ParseError(f"distortion needs {na * na} entries, got {len(dist)}")
+    return joint, np.reshape(dist, (na, na)), dmax[0]
+
+
+def load_scheme(text: str) -> tuple[ConditionalPmf, ConditionalPmf]:
+    """(p(v|a), p(u|v)) of a scheme file's text."""
+    blocks = [list(block) for is_rule, block in
+              groupby(_clean_lines(text), lambda line: line == "---") if not is_rule]
+    if len(blocks) != 2:
+        raise ParseError("scheme file needs two '---'-separated conditional blocks")
+    return tuple(_conditional(_fields(b, "conditional", _CONDITIONAL_KEYS)) for b in blocks)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header row and data rows; floats are written as %.6f."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{x:.6f}" if isinstance(x, float) else x for x in row]
+                     for row in rows)
+    return buf.getvalue()

@@ -9,10 +9,9 @@ schemes for boundary points and reports a certified inner bound.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from itertools import product
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +21,10 @@ from .probs import (
     ConditionalPmf,
     InvalidArgument,
     JointPmf,
+    ResourceLimit,
     batch_entropy,
     constant_channel,
+    csv_text,
     identity_channel,
     joint_from,
 )
@@ -42,7 +43,9 @@ class SecureSource:
             raise InvalidArgument("source joint must have exactly axes A, B, E")
         na = len(self.joint.alphabet("A"))
         d = np.asarray(self.distortion, dtype=float).reshape(na, na)
-        if np.any(d < 0) or np.any(d > self.d_max):
+        if not np.isfinite(self.d_max):
+            raise InvalidArgument(f"d_max must be finite, got {self.d_max}")
+        if not np.all((d >= 0) & (d <= self.d_max)):  # also false for NaN
             raise InvalidArgument("distortion entries must lie in [0, d_max]")
         d.setflags(write=False)
         object.__setattr__(self, "distortion", d)
@@ -236,13 +239,12 @@ class BoundaryCurve:
     config: SearchConfig
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["D", "R", "Delta", "scheme_id"])
-        for i, (d, tup, _) in enumerate(self.points):
-            writer.writerow([f"{d:.6f}", f"{tup.rate:.6f}",
-                             f"{tup.equivocation:.6f}", i])
-        return buf.getvalue()
+        return csv_text(["D", "R", "Delta", "scheme_id"],
+                        ([float(d), tup.rate, tup.equivocation, i]
+                         for i, (d, tup, _) in enumerate(self.points)))
+
+
+MAX_GRID_CHANNELS = 1 << 22  # above 41^4, so |A| = 4 still runs at resolution 40
 
 
 def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
@@ -254,6 +256,10 @@ def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
     if n_out < 1 or resolution < 1:
         raise InvalidArgument(f"a channel grid needs at least one output and "
                               f"resolution >= 1, got {n_out} and {resolution}")
+    count = comb(resolution + n_out - 1, n_out - 1) ** n_in
+    if count > MAX_GRID_CHANNELS:
+        raise ResourceLimit(f"a grid of {count} channels exceeds the limit "
+                            f"{MAX_GRID_CHANNELS}")
     rows = np.array([c + (resolution - sum(c),)
                      for c in product(range(resolution + 1), repeat=n_out - 1)
                      if sum(c) <= resolution]) / resolution

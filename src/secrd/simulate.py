@@ -24,13 +24,11 @@ and a table over its second half.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probs import InvalidArgument, ResourceLimit, batch_entropy
+from .probs import InvalidArgument, ResourceLimit, batch_entropy, csv_text
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
@@ -62,6 +60,8 @@ class SimConfig:
             raise InvalidArgument("blocklength must be positive")
         if self.trials < 0:
             raise InvalidArgument("trial count must be nonnegative")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
 
 
 def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
@@ -79,6 +79,8 @@ def achievability_rates(source: SecureSource, scheme: AuxScheme,
     S1 > I(U;A), S1 - R1 < I(U;B), S2 > I(V;A|U), S2 - R2 < I(V;B|U);
     each constraint is met with margin `slack` (rates clamped at 0).
     """
+    if not np.isfinite(slack):
+        raise InvalidArgument(f"slack must be finite, got {slack}")
     p = _p_abvu(source, scheme)
 
     def h(keep: str) -> float:  # entropy of the marginal on `keep`, out of "ABVU"
@@ -96,7 +98,10 @@ def achievability_rates(source: SecureSource, scheme: AuxScheme,
     return SimRates(s1, r1, s2, r2)
 
 
-def _count(rate: float, n: int) -> int:
+def _count(rate: float, n: int, budget: int) -> int:
+    """round(2^(n rate)), at least 1, checked against `budget` before it is computed."""
+    if not n * rate < np.log2(budget) + 1:  # else the count is at least twice the budget
+        raise ResourceLimit(f"2^{n * rate:.1f} codewords exceed budget {budget}")
     return max(1, int(round(2.0 ** (n * rate))))
 
 
@@ -166,10 +171,8 @@ class Codebook:
         self.log_b_given_a = _safe_log2(p_abe.sum(axis=2) / given_a)
         self.log_e_given_a = _safe_log2(p_abe.sum(axis=1) / given_a)
 
-        m1 = _count(cfg.rates.s1, cfg.n)
-        m2 = _count(cfg.rates.s2, cfg.n)
-        n1 = _count(cfg.rates.r1, cfg.n)
-        n2 = _count(cfg.rates.r2, cfg.n)
+        m1, m2, n1, n2 = (_count(rate, cfg.n, cfg.max_codewords) for rate in
+                          (cfg.rates.s1, cfg.rates.s2, cfg.rates.r1, cfg.rates.r2))
         if m1 * m2 > cfg.max_codewords:
             raise ResourceLimit(
                 f"codebook of {m1}x{m2} codewords exceeds budget {cfg.max_codewords}"
@@ -391,14 +394,9 @@ class TrialSummary:
     decode_failure_rate: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["trial", "encode_ok", "decode_ok",
-                         "distortion", "equivocation"])
-        for r in self.records:
-            writer.writerow([r.trial, int(r.encode_ok), int(r.decode_ok),
-                             f"{r.distortion:.6f}", f"{r.equivocation:.6f}"])
-        return buf.getvalue()
+        return csv_text(["trial", "encode_ok", "decode_ok", "distortion", "equivocation"],
+                        ([r.trial, int(r.encode_ok), int(r.decode_ok),
+                          r.distortion, r.equivocation] for r in self.records))
 
 
 def run_trials(source: SecureSource, scheme: AuxScheme,

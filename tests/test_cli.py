@@ -145,6 +145,53 @@ class TestEval:
         assert code == EXIT_INVARIANT
 
 
+class TestFileDefects:
+    """Malformed source and scheme files end in exit 2; valid ones still parse."""
+
+    def test_rule_in_a_comment_is_not_a_separator(self, tmp_path, source_file,
+                                                 scheme_file, capsys):
+        scheme = tmp_path / "commented.txt"
+        scheme.write_text("# --- A to V ---\n" + SCHEME_TEXT)
+        assert main(["eval", "--source", source_file, "--scheme", str(scheme)]) == EXIT_OK
+        assert main(["eval", "--source", source_file, "--scheme", scheme_file]) == EXIT_OK
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
+    @pytest.mark.parametrize("old, new", [
+        ("row 1: 0.05 0.95\n", "row 1: 0.05 0.95\nrow zz: 0.5 0.5\n"),
+        ("row 1: 0.05 0.95\n", "row 1: 0.05 0.95\nrow 1: 0.5 0.5\n"),
+        ("output: 0 1\nrow 0: 0.95", "output: 0 1\noutput: 0 1\nrow 0: 0.95"),
+        ("input: 0 1\noutput: 0 1\nrow 0: 0.95", "input: 0 1\ninput: 0 1\noutput: 0 1\nrow 0: 0.95"),
+    ], ids=["row-not-an-input", "repeated-row", "repeated-output", "repeated-input"])
+    def test_bad_scheme_is_input_error(self, tmp_path, source_file, capsys, old, new):
+        bad = tmp_path / "scheme.txt"
+        bad.write_text(SCHEME_TEXT.replace(old, new))
+        assert main(["eval", "--source", source_file, "--scheme", str(bad)]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("dmax:", "mass: 1 0 0 0 0 0 0 0 0 0 0 0\ndmax:"),
+        ("dmax: 1.0", "dmax: 1.0\ndmax: 2.0"),
+        ("distortion: 0 1 1 0", "distortion: 0 1 1 0\ndistortion: 0 0 0 0"),
+        ("mass:", "mass extra:"),
+        ("mass: 0.23895", "mass: nan"),
+        ("dmax: 1.0\ndistortion: 0 1 1 0", "dmax: nan\ndistortion: 0 nan 1 0"),
+        ("distortion: 0 1 1 0", "distortion: 0 nan 1 0"),
+        ("dmax: 1.0", "dmax: inf"),
+        ("distortion: 0 1 1 0", "distortion: 0 2 1 0"),
+        ("axis A:", "axis X:"),
+    ], ids=["repeated-mass", "repeated-dmax", "repeated-distortion", "mass-argument",
+            "nan-mass", "nan-dmax-and-distortion", "nan-distortion", "inf-dmax",
+            "distortion-above-dmax", "no-A-axis"])
+    def test_bad_source_is_input_error(self, tmp_path, scheme_file, capsys, old, new):
+        bad = tmp_path / "source.txt"
+        bad.write_text(SOURCE_TEXT.replace(old, new))
+        assert main(["eval", "--source", str(bad), "--scheme", scheme_file]) == EXIT_INPUT
+        assert main(["classify", "--source", str(bad)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 2 and captured.out == ""
+
+
 class TestBinary:
     def test_table_text(self, capsys):
         code = main(["binary", "--p", "0.1", "--eps", "0.4689955935892812"])
@@ -259,6 +306,23 @@ class TestSweep:
         assert main(["sweep", "--d-max", d_max, "--grid", "2"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert "--d-max" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--slack", "inf"], EXIT_INVARIANT),
+    (["simulate", "--slack", "nan"], EXIT_INVARIANT),
+    (["simulate", "--n", "5000", "--slack", "0.5"], EXIT_RESOURCE),
+    (["simulate", "--seed", "-1"], EXIT_INVARIANT),
+    (["sweep", "--rate-budget", "-1"], EXIT_INVARIANT),
+    (["sweep", "--rate-budget", "nan"], EXIT_INVARIANT),
+    (["binary", "--curve", "--eps", "0"], EXIT_INVARIANT),
+    (["binary", "--curve", "--eps", "0", "--grid", "0"], EXIT_INVARIANT),
+], ids=["slack-inf", "slack-nan", "codebook-overflow", "negative-seed",
+        "negative-rate-budget", "nan-rate-budget", "curve-eps-0", "curve-eps-0-grid-0"])
+def test_bad_argv_ends_in_an_exit_code(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from secrd.probs import (
     bec,
     compose,
 )
-from secrd.region import SecureSource, _channel_grid
+from secrd.region import MAX_GRID_CHANNELS, SecureSource, _channel_grid
 
 
 def _channel(rows, name="y"):
@@ -276,6 +277,23 @@ class TestLessNoisySearch:
     def test_channel_grid_rejects_empty_grids(self, n_out, resolution):
         with pytest.raises(InvalidArgument):
             _channel_grid(2, n_out, resolution)
+
+
+    def test_grid_guard_raises_before_allocating(self):
+        # 41^5 channels at |A| = 5 would take about 19 GiB; |A| = 4 still runs
+        assert 41 ** 4 <= MAX_GRID_CHANNELS < 41 ** 5
+        a = Alphabet(tuple("01234"))
+        joint = JointPmf((("A", a), ("B", a), ("E", Alphabet(("*",)))),
+                         np.eye(5)[:, :, None] / 5)
+        src = SecureSource(joint, 1.0 - np.eye(5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="channels exceeds"):
+                less_noisy_search(src, resolution=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 def _source(order, mass, shape):

@@ -16,8 +16,6 @@ from secrd.probs import (
     compose,
     conditional_entropy,
     constant_channel,
-    dump_conditional,
-    dump_joint,
     entropy,
     identity_channel,
     joint_from,
@@ -187,21 +185,17 @@ class TestBinaryHelpers:
         assert constant_channel(BITS).rows.shape == (2, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: JointPmf((("A", BITS),), [np.nan, 1.0]),
+    lambda: JointPmf((("A", BITS),), [np.nan, np.nan]),
+    lambda: ConditionalPmf(BITS, BITS, [[1.0, 0.0], [np.nan, 1.0]]),
+], ids=["joint", "joint-all-nan", "conditional"])
+def test_nan_probabilities_are_rejected(build):
+    with pytest.raises(InvalidArgument, match="NaN"):
+        build()
+
+
 class TestSerialization:
-    def test_joint_roundtrip(self):
-        rng = np.random.default_rng(11)
-        pmf = random_joint(rng, (2, 3), ("A", "B"))
-        again = load_joint(dump_joint(pmf))
-        assert again.names == pmf.names
-        np.testing.assert_allclose(again.mass, pmf.mass, atol=1e-15)
-
-    def test_conditional_roundtrip(self):
-        ch = bec(0.35)
-        again = load_conditional(dump_conditional(ch))
-        assert again.input == ch.input
-        assert again.output == ch.output
-        np.testing.assert_allclose(again.rows, ch.rows, atol=1e-15)
-
     def test_comments_and_blank_lines_ignored(self):
         text = """
         joint

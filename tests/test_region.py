@@ -71,6 +71,16 @@ class TestSecureSource:
         with pytest.raises(InvalidArgument):
             SecureSource(src.joint, np.array([[0.0, 2.0], [1.0, 0.0]]), d_max=1.0)
 
+    @pytest.mark.parametrize("distortion, d_max", [
+        ([[0.0, np.nan], [1.0, 0.0]], 1.0),
+        ([[0.0, 1.0], [1.0, 0.0]], np.nan),
+        ([[0.0, 1.0], [1.0, 0.0]], np.inf),
+    ], ids=["nan-distortion", "nan-d-max", "inf-d-max"])
+    def test_non_finite_distortion_is_rejected(self, distortion, d_max):
+        src = build_source(PARAMS)
+        with pytest.raises(InvalidArgument):
+            SecureSource(src.joint, np.array(distortion), d_max=d_max)
+
     def test_cardinality_caps(self):
         src = build_source(PARAMS)
         assert cardinality_caps(src) == (4, 12)
