@@ -42,7 +42,10 @@ def _read_config(path: str) -> dict[str, str]:
         key, val = key.strip(), val.strip()
         if not key or not val:
             raise ParseError(f"malformed config line: {line!r}")
-        out[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key in out:
+            raise ParseError(f"repeated config key {key!r}")
+        out[key] = val
     return out
 
 
@@ -76,10 +79,13 @@ def load_source_file(path: str) -> SecureSource:
 def load_scheme_file(path: str, source: SecureSource) -> AuxScheme:
     """The scheme in the file at `path`, in the format of `probs.load_scheme`.
 
-    The reconstruction map is the distortion-optimal one for `source`.
+    The reconstruction map is the distortion-optimal one for `source`. A
+    scheme that does not fit `source`, or whose blocks do not chain, is a
+    file error.
     """
     v_channel, u_channel = load_scheme(Path(path).read_text())
-    return AuxScheme(v_channel, u_channel, best_reconstruction(source, v_channel))
+    recon = _checked(best_reconstruction, source, v_channel)
+    return _checked(AuxScheme, v_channel, u_channel, recon)
 
 
 def _write(out: str | None, text: str) -> None:

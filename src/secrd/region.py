@@ -123,35 +123,42 @@ def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
     )
 
 
-def _h_a_given_rest(p: np.ndarray) -> np.ndarray:
-    """H(A | the other axes) of each p[k, a, ...]."""
-    return batch_entropy(p) - batch_entropy(p.sum(axis=1))
+def _h_a_given_rest(p: np.ndarray, ndim: int) -> np.ndarray:
+    """H(A | the other axes) of p[..., a, ...], whose last `ndim` axes are (A, rest)."""
+    flat = p.reshape(-1, *p.shape[-ndim:])
+    return (batch_entropy(flat) - batch_entropy(flat.sum(axis=1))).reshape(p.shape[:-ndim])
 
 
 def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
               recon: np.ndarray | None = None):
-    """(R, D, Delta, recon) of K schemes at once, as `evaluate_scheme` defines them.
+    """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines them.
 
-    `v[k]` holds the |A| x |V| and `u[k]` the |V| x |U| channel rows of
-    scheme k, and `recon[k]` its |V| x |B| reconstruction map. Without
-    `recon` the distortion-optimal map is used and returned: ties break to
-    the lowest symbol index, and zero-probability (v, b) pairs map to 0.
+    `v[..., :, :]` holds |A| x |V| and `u[..., :, :]` |V| x |U| channel rows,
+    and `recon[..., :, :]` |V| x |B| reconstruction maps; their leading batch
+    axes broadcast, so `v[:, None]` with `u[None]` evaluates every V channel
+    with every U channel. Terms of V alone (the costs, the map, D, H(A|BV)
+    and R) are computed once per V channel. Without `recon` the
+    distortion-optimal map is used and returned: ties break to the lowest
+    symbol index, and zero-probability (v, b) pairs map to 0. Every output
+    has the broadcast batch shape (plus |V| x |B| for the map).
     """
     p_ab = p_abe.sum(axis=2)
-    p_abv = p_ab[None, :, :, None] * v[:, :, None, :]
-    costs = p_abv.transpose(0, 3, 2, 1) @ d  # costs[k, v, b, ahat]
+    p_abv = p_ab[:, :, None] * v[..., :, None, :]
+    costs = np.swapaxes(p_abv, -1, -3) @ d  # costs[..., v, b, ahat]
     if recon is None:
-        recon = costs.argmin(axis=3)
-    dist = np.take_along_axis(costs, recon[..., None], axis=3).sum(axis=(1, 2, 3))
+        recon = costs.argmin(axis=-1)
+    dist = np.take_along_axis(costs, recon[..., None], axis=-1).sum(axis=(-3, -2, -1))
     w = v @ u  # the composite channel A -> U
-    p_abu = p_ab[None, :, :, None] * w[:, :, None, :]
-    p_aeu = p_abe.sum(axis=1)[None, :, :, None] * w[:, :, None, :]
-    h_a_bv = _h_a_given_rest(p_abv)
-    h_a_u = _h_a_given_rest(p_abu.sum(axis=2))
-    rate = np.maximum(0.0, _h_a_given_rest(p_ab[None]) - h_a_bv)
-    i_ab_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_abu))
-    i_ae_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_aeu))
-    return rate, dist, np.maximum(0.0, h_a_bv + i_ab_u - i_ae_u), recon
+    p_abu = p_ab[:, :, None] * w[..., :, None, :]
+    p_aeu = p_abe.sum(axis=1)[:, :, None] * w[..., :, None, :]
+    h_a_bv = _h_a_given_rest(p_abv, 3)
+    h_a_u = _h_a_given_rest(p_abu.sum(axis=-2), 2)
+    rate = np.maximum(0.0, _h_a_given_rest(p_ab, 2) - h_a_bv)
+    i_ab_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_abu, 3))
+    i_ae_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_aeu, 3))
+    delta = np.maximum(0.0, h_a_bv + i_ab_u - i_ae_u)
+    return (np.broadcast_to(rate, delta.shape), np.broadcast_to(dist, delta.shape), delta,
+            np.broadcast_to(recon, delta.shape + recon.shape[-2:]))
 
 
 def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
@@ -218,9 +225,10 @@ def eve_less_noisy_bound(source: SecureSource, scheme: AuxScheme) -> RDETuple:
 
 
 # ---------------------------------------------------------------------------
-# Boundary search: coarse grid over channel parameters, then coordinate-wise
-# local refinement with step halving. The result is a certified inner bound;
-# every reported tuple is achievable by its stored scheme.
+# Boundary search: a coarse grid over channel parameters, evaluated once per
+# sweep, then coordinate-wise local refinement with step halving. The result
+# is a certified inner bound; every reported tuple is achievable by its
+# stored scheme.
 # ---------------------------------------------------------------------------
 
 
@@ -279,37 +287,75 @@ def _row_moves(rows: np.ndarray, step: float) -> np.ndarray:
     return np.array(moves).reshape(-1, n_in, n_out)
 
 
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Channel rows scaled to sum to 1, as ConditionalPmf scales them."""
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _coarse_grid(source: SecureSource, config: SearchConfig) -> tuple:
+    """Every V-grid channel with every U-grid channel, evaluated in one call.
+
+    Returns the (v, u, R, D, Delta, recon) rows of all M x N candidates, V
+    channel major, as `_search` takes them.
+    """
+    v_grid = _normalized(_channel_grid(len(source.a_alphabet), config.v_size,
+                                       config.grid_resolution))
+    u_grid = _normalized(_channel_grid(config.v_size, config.u_size,
+                                       config.grid_resolution))
+    rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion,
+                                         v_grid[:, None], u_grid[None])
+    m, n = delta.shape
+    return (np.repeat(v_grid, n, axis=0), np.tile(u_grid, (m, 1, 1)), rate.ravel(),
+            dist.ravel(), delta.ravel(), recon.reshape(m * n, *recon.shape[2:]))
+
+
+def _tie_pick(scores: np.ndarray, best: float | None) -> int | None:
+    """Index of the score that ends as the best, or None if `best` stands.
+
+    Scanning in order, a score replaces the best so far when it exceeds it
+    by more than 1e-15. The best so far is never below an earlier score by
+    more than that margin, so a replacing score beats every earlier one:
+    only the running-maximum records (NaN aside) need the scan.
+    """
+    record = scores > np.fmax.accumulate(np.concatenate(([-np.inf], scores[:-1])))
+    record[:1] = True
+    records = np.flatnonzero(record)
+    pick = None
+    for i, score in zip(records.tolist(), scores[records].tolist()):
+        if best is None or score > best + 1e-15:
+            best, pick = score, i
+    return pick
+
+
 def _search(source: SecureSource, objective, feasible, config: SearchConfig,
-            seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
+            coarse: tuple, seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
     """Maximize `objective` over schemes subject to `feasible`.
 
     Both map arrays (R, D, Delta) of a candidate batch to an array.
-    Deterministic: candidates come from a fixed coarse grid plus `seeds`,
+    `coarse` is the evaluated grid from `_coarse_grid`, shared by every
+    search of a sweep; only `seeds` and the refinement moves are evaluated
+    here. Deterministic: candidates come in the order grid, seeds, moves,
     and ties resolve by candidate order.
     """
     best = None  # (score, v rows, u rows, reconstruction, (R, D, Delta))
 
-    def consider(v, u):
+    def consider(v, u, rate, dist, delta, recon):
         nonlocal best
-        v = v / v.sum(axis=2, keepdims=True)  # row-normalized as ConditionalPmf does
-        u = u / u.sum(axis=2, keepdims=True)
-        rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion, v, u)
         ok = np.flatnonzero(feasible(rate, dist, delta))
-        for i, score in zip(ok.tolist(), objective(rate, dist, delta)[ok].tolist()):
-            if best is None or score > best[0] + 1e-15:
-                best = (score, v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
+        scores = objective(rate, dist, delta)[ok]
+        pick = _tie_pick(scores, None if best is None else best[0])
+        if pick is not None:
+            i = ok[pick]
+            best = (float(scores[pick]), v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
 
-    v_grid = _channel_grid(len(source.a_alphabet), config.v_size,
-                           config.grid_resolution)
-    u_grid = _channel_grid(config.v_size, config.u_size, config.grid_resolution)
-    vs = [np.repeat(v_grid, len(u_grid), axis=0)]
-    us = [np.tile(u_grid, (len(v_grid), 1, 1))]
-    for s in seeds:
-        if (len(s.v_channel.output) == config.v_size
-                and len(s.u_channel.output) == config.u_size):
-            vs.append(s.v_channel.rows[None])
-            us.append(s.u_channel.rows[None])
-    consider(np.concatenate(vs), np.concatenate(us))
+    def evaluate(v, u):
+        v, u = _normalized(v), _normalized(u)
+        consider(v, u, *rde_batch(source.p_abe, source.distortion, v, u))
+
+    consider(*coarse)
+    if seeds:
+        evaluate(np.array([s.v_channel.rows for s in seeds]),
+                 np.array([s.u_channel.rows for s in seeds]))
     if best is None:
         return None
 
@@ -321,7 +367,7 @@ def _search(source: SecureSource, objective, feasible, config: SearchConfig,
             before, v_rows, u_rows = best[:3]
             v_moves, u_moves = _row_moves(v_rows, step), _row_moves(u_rows, step)
             nv, nu = len(v_moves), len(u_moves)
-            consider(np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]),
+            evaluate(np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]),
                      np.concatenate([np.broadcast_to(u_rows, (nv, *u_rows.shape)), u_moves]))
             if best[0] <= before + 1e-15:
                 break
@@ -341,7 +387,9 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
     For each D on the grid the minimal rate is searched first; the
     equivocation is then maximized subject to E[d] <= D and, when a rate
     budget is configured, R <= budget. Schemes found at smaller budgets
-    seed larger ones, which keeps Delta nondecreasing along the curve.
+    seed larger ones, which keeps Delta nondecreasing along the curve. The
+    coarse grid depends on neither the budget nor the objective, so it is
+    evaluated once per call and shared by all 2 x len(grid) searches.
     """
     grid = sorted(distortion_grid)
     if not grid:
@@ -349,6 +397,7 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
     u_cap, v_cap = cardinality_caps(source)
     if config.u_size > u_cap or config.v_size > v_cap:
         raise InvalidArgument("search config exceeds cardinality caps")
+    coarse = _coarse_grid(source, config)
     points = []
     seeds: list[AuxScheme] = []
     budget = config.rate_budget if config.rate_budget is not None else np.inf
@@ -358,6 +407,7 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
             objective=lambda r, dist, eq: -r,
             feasible=lambda r, dist, eq: dist <= d_budget + 1e-12,
             config=config,
+            coarse=coarse,
             seeds=seeds,
         )
         if rate_found is None:
@@ -367,6 +417,7 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
             objective=lambda r, dist, eq: eq,
             feasible=lambda r, dist, eq: (dist <= d_budget + 1e-12) & (r <= budget + 1e-9),
             config=config,
+            coarse=coarse,
             seeds=seeds + [rate_found[0]],
         )
         if delta_found is None:

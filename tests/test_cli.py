@@ -169,6 +169,23 @@ class TestFileDefects:
         assert main(["eval", "--source", source_file, "--scheme", str(bad)]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("input: 0 1\noutput: 0 1\nrow 0: 0.969 0.031\nrow 1: 0.031 0.969",
+         "input: x y\noutput: 0 1\nrow x: 0.969 0.031\nrow y: 0.031 0.969",
+         "v_channel input alphabet must match source A"),
+        ("input: 0 1\noutput: 0 1\nrow 0: 0.95 0.05\nrow 1: 0.05 0.95",
+         "input: v0 v1\noutput: 0 1\nrow v0: 0.95 0.05\nrow v1: 0.05 0.95",
+         "u_channel input must equal v_channel output"),
+    ], ids=["not-the-source-A", "blocks-do-not-chain"])
+    def test_scheme_that_does_not_fit_is_input_error(self, tmp_path, source_file,
+                                                     capsys, old, new, message):
+        assert old in SCHEME_TEXT
+        bad = tmp_path / "scheme.txt"
+        bad.write_text(SCHEME_TEXT.replace(old, new))
+        assert main(["eval", "--source", source_file, "--scheme", str(bad)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     @pytest.mark.parametrize("old, new", [
         ("dmax:", "mass: 1 0 0 0 0 0 0 0 0 0 0 0\ndmax:"),
         ("dmax: 1.0", "dmax: 1.0\ndmax: 2.0"),
@@ -297,6 +314,17 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0] == "D,R,Delta,scheme_id"
 
+    @pytest.mark.parametrize("argv, golden", [
+        ([], "sweep_defaults.csv"),
+        (["--p", "0.1", "--eps", "0.469", "--grid", "8", "--d-max", "0.2",
+          "--rate-budget", "0.376"], "sweep_p0.1_eps0.469_budget0.376.csv"),
+    ], ids=["defaults", "readme"])
+    def test_matches_golden_file(self, capsys, argv, golden):
+        # as the search printed them when it evaluated the coarse grid per search
+        assert main(["sweep", *argv]) == EXIT_OK
+        path = Path(__file__).parent / "data" / golden
+        assert capsys.readouterr().out == path.read_bytes().decode()
+
     def test_negative_grid_is_invariant_error(self, capsys):
         assert main(["sweep", "--grid", "-2"]) == EXIT_INVARIANT
         assert "--grid" in capsys.readouterr().err
@@ -395,6 +423,17 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:  # argparse's usage error
             main(["sweep", "--config", str(cfg)])
         assert exc.value.code == EXIT_INPUT
+
+    @pytest.mark.parametrize("command, text", [
+        ("binary", "grid 2\ngrid 3\ncurve yes\n"),
+        ("sweep", "d-max 0.1\nd_max = 0.2\n"),
+    ], ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_config_key_is_input_error(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "repeated config key" in captured.err and captured.out == ""
 
     def test_config_value_outside_choices(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secrd import region
 from secrd.binary import BecBscParams, BinaryScheme, aux_scheme, build_source
 from secrd.ordering import less_noisy_search
 from secrd.probs import (
@@ -23,8 +26,10 @@ from secrd.region import (
     best_reconstruction,
     evaluate_scheme,
     lossless_region_point,
+    _tie_pick,
     materialize,
     rde_batch,
+    sweep_boundary,
 )
 from secrd.simulate import Codebook, SimConfig, achievability_rates
 
@@ -117,6 +122,76 @@ def test_kernel_matches_jointpmf_path():
                 want[1], abs=1e-12)
             np.testing.assert_array_equal(
                 best_reconstruction(source, scheme.v_channel), recon[k])
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def test_product_form_matches_paired_rows():
+    """v[:, None] with u[None] is bitwise the K = M * N row call, V channel major."""
+    rng = np.random.default_rng(20101118)
+    for _ in range(30):
+        source = _random_source(rng)
+        na, nb = len(source.a_alphabet), len(source.b_alphabet)
+        for nv, nu in product(range(1, 4), repeat=2):
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            v = np.array([_stochastic(rng, na, nv) for _ in range(m)])
+            u = np.array([_stochastic(rng, nv, nu) for _ in range(n)])
+            v_rows, u_rows = np.repeat(v, n, axis=0), np.tile(u, (m, 1, 1))
+            maps = rng.integers(na, size=(m, nv, nb))
+            for recon, recon_rows in ((None, None),
+                                      (maps[:, None], np.repeat(maps, n, axis=0))):
+                got = rde_batch(source.p_abe, source.distortion, v[:, None], u[None], recon)
+                want = rde_batch(source.p_abe, source.distortion, v_rows, u_rows, recon_rows)
+                for g, w in zip(got, want):
+                    assert g.shape[:2] == (m, n)
+                    assert _bits(g.reshape(w.shape)) == _bits(w)
+
+
+def test_sweep_evaluates_the_coarse_grid_once(monkeypatch):
+    sizes = []
+    kernel = region.rde_batch
+
+    def counting(p_abe, d, v, u, recon=None):
+        sizes.append(int(np.prod(np.broadcast_shapes(v.shape[:-2], u.shape[:-2]))))
+        return kernel(p_abe, d, v, u, recon)
+
+    monkeypatch.setattr(region, "rde_batch", counting)
+    budgets = [0.05, 0.1, 0.15, 0.2]
+    curve = sweep_boundary(build_source(BecBscParams(0.1, 0.469)), budgets)
+    assert len(curve.points) == len(budgets)
+    grid = 49 * 49  # resolution 6: 7 rows per binary channel row, two rows each
+    assert sizes[0] == grid and sizes.count(grid) == 1
+    assert max(sizes[1:]) <= 8  # seeds and neighbor moves only
+
+
+def _sequential_pick(scores, best):
+    """The tie rule as a plain scan over every candidate."""
+    pick = None
+    for i, score in enumerate(scores.tolist()):
+        if best is None or score > best + 1e-15:
+            best, pick = score, i
+    return pick
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores a few units apart, from exact ties through ulps to just over 1e-15."""
+    base = draw(st.sampled_from([0.0, 1e-300, 0.1, 0.469, 1.0, -0.3, 7.5]))
+    unit = draw(st.sampled_from([float(np.spacing(base)), 1e-16, 2.5e-16, 5e-16,
+                                 1e-15, 1.5e-15, 0.0]))
+    steps = st.integers(-6, 6).map(lambda k: base + k * unit)
+    scores = draw(st.lists(steps | st.just(float("nan")), max_size=40))
+    best = draw(st.none() | steps)
+    return np.array(scores, dtype=float), best
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(tied_scores())
+def test_tie_pick_matches_sequential_scan(case):
+    scores, best = case
+    assert _tie_pick(scores, best) == _sequential_pick(scores, best)
 
 
 def _violation(source, rows):
