@@ -20,6 +20,12 @@ preimage (the source words that encode to it) is cached once, and a
 trial's decode scores and Eve's posterior are read over its preimage only,
 each word's log-likelihood being the sum of a table over its first half
 and a table over its second half.
+
+Trial t draws its letters from child t of `SeedSequence(seed)`, as
+`spawn()` numbers the children: they are the numbers
+`default_rng(child).random(2n)` gives, but a chunk's streams are computed
+in one array pass from numpy's published SeedSequence hash and PCG64
+generator rather than by building a generator per trial.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class SimConfig:
             raise InvalidArgument("blocklength must be positive")
         if self.trials < 0:
             raise InvalidArgument("trial count must be nonnegative")
+        if self.trials > 1 << 32:  # trial keys must be one-word spawn keys
+            raise InvalidArgument(f"trial count must be at most 2^32, got {self.trials}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
 
@@ -376,6 +384,80 @@ def exact_equivocation(codebook: Codebook, message_id: int,
     return float(codebook._equivocation_batch(np.array([message_id]), e[None])[0])
 
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(x, const: int, mult: int):
+    """SeedSequence's hash of uint32 words held in uint64: (hashed, next const)."""
+    nxt = const * mult & _M32
+    x = (x ^ const) * nxt & _M32
+    return x ^ x >> 16, nxt
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 arrays, by 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints -> (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
+
+
+def _trial_uniforms(seed: int, first: int, count: int, m: int) -> np.ndarray:
+    """(count, m) uniforms; row t is, bit for bit,
+    `default_rng(SeedSequence(seed, spawn_key=(first + t,))).random(m)`.
+
+    Exact for spawn keys below 2^32, which numpy hashes as one uint32 word.
+    """
+    keys = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    # The child's pool is the parent's with the key mixed into each word,
+    # after the 16 + 4 (max(4, seed words) - 4) = 4 max(4, seed words) hash
+    # rounds the parent's pool took.
+    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
+    words = max(4, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _M32
+    for i in range(4):
+        hashed, const = _hash(keys, const, _MULT_A)
+        x = _MIX_L * pool[i] - _MIX_R * hashed & _M32
+        pool[i] = x ^ x >> 16
+    # generate_state(4, uint64): eight hashed words cycling over the pool
+    state, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hash(pool[i % 4], const, _MULT_B)
+        state.append(word)
+    s0, s1, s2, s3 = (lo | hi << 32 for lo, hi in zip(state[::2], state[1::2]))
+    # PCG64 seeded with (initstate, initseq) = (s0:s1, s2:s3) starts at
+    # state (inc + initstate) M + inc, inc = 2 initseq + 1, and draw j >= 1
+    # reads the state j steps on: initstate M^(j+1) + inc (1 + M + ... +
+    # M^(j+1)), mod 2^128, here on 64-bit limbs.
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    mults, sums, power, total = [], [], _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(m):
+        power = power * _PCG_MULT & (1 << 128) - 1
+        total = total + power & (1 << 128) - 1
+        mults.append(power)
+        sums.append(total)
+    (a_hi, a_lo), (b_hi, b_lo) = _limbs(mults), _limbs(sums)
+    lo_a = a_lo * s1
+    lo = lo_a + b_lo * inc_lo
+    hi = (_mulhi(a_lo, s1) + a_lo * s0 + a_hi * s1 + _mulhi(b_lo, inc_lo)
+          + b_lo * inc_hi + b_hi * inc_lo + (lo < lo_a))
+    # XSL-RR output, then random()'s 53-bit double
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    return (out >> 11) * (1.0 / (1 << 53))
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
@@ -407,9 +489,12 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     encodes, decodes with b, and evaluates Eve's exact residual entropy.
     A decode failure (a codeword pair other than the encoder's) still
     reconstructs from the decoded pair. Deterministic given the config:
-    per-trial seeds derive from the master seed. Trials run in chunks of
-    at most CHUNK_CELLS array cells, so memory does not grow with
-    `cfg.trials`, and the records do not depend on the chunking.
+    trial t's letters come from child t of `SeedSequence(cfg.seed)`, as
+    `spawn()` numbers them, and are the numbers
+    `default_rng(child).random(2 n)` gives, drawn for a whole chunk in one
+    array pass. Trials run in chunks of at most CHUNK_CELLS array cells, so
+    memory does not grow with `cfg.trials`, and the records do not depend
+    on the chunking.
     """
     if cfg.trials == 0:
         return TrialSummary([], 0.0, 0.0, 0.0, 0.0)
@@ -431,13 +516,12 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     n = cfg.n
     pow_a = na ** np.arange(n - 1, -1, -1)
     chunk = max(1, CHUNK_CELLS // codebook._trial_cells())
-    master = np.random.SeedSequence(cfg.seed)  # spawn() continues the children
-    records = []
+    records, columns = [], []
     for first in range(0, cfg.trials, chunk):
-        seeds = master.spawn(min(chunk, cfg.trials - first))
         # per trial, choice(na, n, p=p(a)) and then one choice(nb * ne,
         # p=p(b, e | a_i)) per letter: the two halves of one random(2n)
-        draws = np.array([np.random.default_rng(s).random(2 * n) for s in seeds])
+        draws = _trial_uniforms(cfg.seed, first, min(chunk, cfg.trials - first),
+                                2 * n)
         a_seqs = np.searchsorted(cdf_a, draws[:, :n], side="right")
         be = (cdf_be[a_seqs] <= draws[:, n:, None]).sum(axis=2)
         b_seqs, e_seqs = np.divmod(be, ne)
@@ -448,12 +532,11 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
         dist = d[a_seqs, a_hat].mean(axis=1)
         eq = codebook._equivocation_batch(msg_ids, e_seqs)
         dec_ok = s1 * len(codebook.v_bins) + s2 == codebook._encode_idx[idx]
-        records.extend(
-            TrialRecord(first + k, bool(enc_ok[i]), bool(ok), float(dk), float(ek))
-            for k, (i, ok, dk, ek) in enumerate(zip(idx, dec_ok, dist, eq)))
+        chunk_cols = (enc_ok[idx], dec_ok, dist, eq)
+        records.extend(map(TrialRecord, range(first, first + len(idx)),
+                           *(col.tolist() for col in chunk_cols)))
+        columns.append(chunk_cols)
 
-    mean_d = float(np.mean([r.distortion for r in records]))
-    mean_eq = float(np.mean([r.equivocation for r in records]))
-    enc_fail = float(np.mean([not r.encode_ok for r in records]))
-    dec_fail = float(np.mean([not r.decode_ok for r in records]))
-    return TrialSummary(records, mean_d, mean_eq, enc_fail, dec_fail)
+    enc, dec, dist, eq = map(np.concatenate, zip(*columns))
+    return TrialSummary(records, float(np.mean(dist)), float(np.mean(eq)),
+                        float(np.mean(~enc)), float(np.mean(~dec)))

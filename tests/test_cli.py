@@ -293,6 +293,19 @@ class TestSimulate:
         assert lines[1] == "trial,encode_ok,decode_ok,distortion,equivocation"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("argv, golden", [
+        ([], "simulate_defaults.csv"),
+        (["--n", "14"], "simulate_n14.csv"),
+        (["--p", "0.1", "--eps", "0.469", "--alpha", "0.031", "--beta", "0.05",
+          "--n", "10", "--trials", "100", "--seed", "1", "--slack", "0.1"],
+         "simulate_p0.1_eps0.469_n10_seed1.csv"),
+    ], ids=["defaults", "n14", "readme"])
+    def test_matches_golden_file(self, capsys, argv, golden):
+        # as printed when each trial built its own numpy generator
+        assert main(["simulate", *argv]) == EXIT_OK
+        path = Path(__file__).parent / "data" / golden
+        assert capsys.readouterr().out == path.read_bytes().decode()
+
     def test_point_mass_equivocation_prints_positive_zero(self, capsys):
         # at p = 0 Eve sees A, so every trial's equivocation is exactly 0
         assert main(["simulate", "--p", "0", "--trials", "3", "--n", "6"]) == EXIT_OK

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrd.binary import BITS, BecBscParams, BinaryScheme, aux_scheme, build_source
 from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, bec, bsc,
@@ -19,6 +21,7 @@ from secrd.simulate import (
     SimConfig,
     SimRates,
     TrialRecord,
+    _trial_uniforms,
     exact_equivocation,
     run_trials,
     achievability_rates,
@@ -168,6 +171,48 @@ class TestRates:
             SimConfig(n=0, rates=rates, trials=10, seed=0)
         with pytest.raises(InvalidArgument):
             SimConfig(n=4, rates=rates, trials=-1, seed=0)
+
+    def test_trial_count_within_one_word_spawn_keys(self):
+        # constructed only: trial keys 0 .. trials - 1 must stay below 2^32
+        rates = SimRates(0.5, 0.4, 0.2, 0.1)
+        assert SimConfig(n=4, rates=rates, trials=1 << 32, seed=0).trials == 1 << 32
+        with pytest.raises(InvalidArgument):
+            SimConfig(n=4, rates=rates, trials=(1 << 32) + 1, seed=0)
+
+
+def numpy_child_uniforms(seed, first, count, m):
+    """random(m) of numpy's own generator for children first .. first + count - 1."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first + t,))).random(m)
+        for t in range(count)]).reshape(count, m)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def streams(draw):
+    count = draw(st.integers(1, 64))
+    return (draw(st.integers(0, (1 << 160) - 1)), draw(st.integers(0, (1 << 32) - count)),
+            count, draw(st.integers(1, 40)))
+
+
+class TestTrialUniforms:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(streams())
+    def test_matches_numpy_child_generators(self, stream):
+        assert_bitwise_equal(_trial_uniforms(*stream), numpy_child_uniforms(*stream))
+
+    # the seed's uint32 word count moves the spawn key's hash offset
+    @pytest.mark.parametrize("seed", [0, (1 << 32) - 1, 1 << 32, 1 << 96,
+                                      (1 << 128) - 1, 1 << 128, 1 << 160])
+    @pytest.mark.parametrize("first, count, m", [(0, 40, 20), (37, 5, 1),
+                                                 ((1 << 32) - 3, 3, 28)])
+    def test_word_count_boundaries(self, seed, first, count, m):
+        assert_bitwise_equal(_trial_uniforms(seed, first, count, m),
+                             numpy_child_uniforms(seed, first, count, m))
 
 
 class TestCodebook:
