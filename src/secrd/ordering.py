@@ -5,7 +5,8 @@ stochastically degraded, less noisy, more capable. Degradedness is a
 linear feasibility question, decided by a small dense simplex in this
 module (numpy only, no LP library); the more-capable test is a direct
 mutual information comparison; general less-noisy testing is undecidable
-on a finite grid, so the search reports evidence or a counterexample.
+on a finite grid, so one batch of U channels on the region search's
+lattice gives each direction a counterexample or evidence.
 
 For the BEC/BSC family of the worked example the three thresholds in
 the erasure probability are 2p, 4p(1-p) and h2(p).
@@ -13,7 +14,7 @@ the erasure probability are 2p, 4p(1-p) and h2(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .probs import (
     Alphabet,
     ConditionalPmf,
     InvalidArgument,
-    JointPmf,
     ResourceLimit,
     batch_entropy,
     binary_entropy,
@@ -212,22 +212,28 @@ def classify_bec_bsc(params: BecBscParams) -> OrderingVerdict:
 def classify_source(source: SecureSource) -> OrderingVerdict:
     """Ordering verdict for any source, from its joint p(a, b, e).
 
-    Degraded is the LP; less noisy is yes when degraded, else the grid
-    search's "no" or "unknown"; more capable is the MI test or less noisy.
+    Degraded is the LP; less noisy is yes when degraded, else "no" where one
+    batch's I(U;E) - I(U;B) (its negation, in reverse) exceeds FEAS_TOL, else
+    "unknown"; more capable is the MI test or less noisy.
     """
     ch_b, ch_e = side_channels(source)
     degraded = (is_degraded(ch_b, ch_e)[0], is_degraded(ch_e, ch_b)[0])
-    # the reverse direction is the forward one with B and E swapped
-    swapped = replace(source, joint=JointPmf(
-        (("A", source.a_alphabet), ("B", source.e_alphabet), ("E", source.b_alphabet)),
-        np.swapaxes(source.p_abe, 1, 2)))
-    less_noisy = tuple(
-        "yes" if deg else
-        "unknown" if less_noisy_search(src)[0] == "no-violation" else "no"
-        for deg, src in zip(degraded, (source, swapped)))
+    gap = None if all(degraded) else _less_noisy_gap(source)[1]
+    less_noisy = tuple("yes" if deg else "no" if np.max(sign * gap) > FEAS_TOL else "unknown"
+                       for deg, sign in zip(degraded, (1.0, -1.0)))
     more_capable = tuple(mc or ln == "yes"
                          for mc, ln in zip(is_more_capable(source), less_noisy))
     return OrderingVerdict(degraded, less_noisy, more_capable)
+
+
+def _less_noisy_gap(source: SecureSource, resolution: int = 40,
+                    u_size: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """(channels, I(U;E) - I(U;B)) for every A -> U channel of the region lattice."""
+    if u_size > len(source.a_alphabet) + 1:
+        raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
+    channels = _channel_grid(len(source.a_alphabet), u_size, resolution)
+    p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
+    return channels, _information(p_ea @ channels) - _information(p_ba @ channels)
 
 
 def less_noisy_search(source: SecureSource, resolution: int = 40,
@@ -239,15 +245,9 @@ def less_noisy_search(source: SecureSource, resolution: int = 40,
     grid are tried. Returns ("counterexample", channel) when a violating U
     is found, else ("no-violation", resolution) -- evidence, not proof.
     """
-    a = source.a_alphabet
-    if u_size > len(a) + 1:
-        raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
-    # every channel A -> U on the region search's lattice, as one batch
-    channels = _channel_grid(len(a), u_size, resolution)
-    u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
-    p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
-    violation = _information(p_ea @ channels) - _information(p_ba @ channels)
+    channels, violation = _less_noisy_gap(source, resolution, u_size)
     worst = int(np.argmax(violation))  # the first of equal maxima
     if violation[worst] > tol:
-        return "counterexample", ConditionalPmf(a, u_alph, channels[worst])
+        u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
+        return "counterexample", ConditionalPmf(source.a_alphabet, u_alph, channels[worst])
     return "no-violation", resolution

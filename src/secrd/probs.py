@@ -253,6 +253,11 @@ def constant_channel(input_alphabet: Alphabet) -> ConditionalPmf:
     return ConditionalPmf(input_alphabet, out, np.ones((len(input_alphabet), 1)))
 
 
+def all_words(size: int, n: int) -> np.ndarray:
+    """All size**n words of length n, in lexicographic (base-`size`) order."""
+    return np.arange(size ** n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
+
+
 # ---------------------------------------------------------------------------
 # Text formats. A block is a header line, then `key [argument]: values`
 # lines in any order; blank lines and text after '#' are ignored. Each key

@@ -2,9 +2,11 @@
 
 A problem instance is a joint p(a,b,e) plus a bounded distortion matrix.
 An auxiliary scheme is a pair of channels A->V->U plus a deterministic
-reconstruction map on V x B. `evaluate_scheme` returns the tightest
-(R, D, Delta) tuple the scheme certifies; `sweep_boundary` searches over
-schemes for boundary points and reports a certified inner bound.
+reconstruction map on V x B; `AuxScheme.check_fits` decides whether it fits
+a source. `evaluate_scheme` returns the tightest (R, D, Delta) tuple the
+scheme certifies; `sweep_boundary` searches over schemes on the channel
+lattice of `_channel_grid`, which `ordering` shares, for boundary points
+and reports a certified inner bound.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .probs import (
     InvalidArgument,
     JointPmf,
     ResourceLimit,
+    all_words,
     batch_entropy,
     constant_channel,
     csv_text,
@@ -89,11 +92,23 @@ class AuxScheme:
     def __post_init__(self):
         if self.v_channel.output != self.u_channel.input:
             raise InvalidArgument("u_channel input must equal v_channel output")
-        recon = np.asarray(self.reconstruction, dtype=int)
+        recon = np.asarray(self.reconstruction, dtype=float)
         if recon.ndim != 2 or recon.shape[0] != len(self.v_channel.output):
             raise InvalidArgument("reconstruction must be a |V| x |B| index map")
+        if not np.all(np.isfinite(recon) & (recon >= 0) & (recon == np.floor(recon))):
+            raise InvalidArgument("reconstruction entries must be nonnegative integers")
+        recon = recon.astype(int)
         recon.setflags(write=False)
         object.__setattr__(self, "reconstruction", recon)
+
+    def check_fits(self, source: SecureSource) -> None:
+        """Raise InvalidArgument unless V comes from A and the map is |V| x |B| -> A."""
+        if self.v_channel.input != source.a_alphabet:
+            raise InvalidArgument("v_channel input alphabet must match source A")
+        if self.reconstruction.shape[1] != len(source.b_alphabet):
+            raise InvalidArgument("reconstruction shape does not match |V| x |B|")
+        if np.any(self.reconstruction >= len(source.a_alphabet)):
+            raise InvalidArgument("reconstruction entries must be indices of A")
 
     def check_caps(self, source: SecureSource) -> None:
         u_cap, v_cap = cardinality_caps(source)
@@ -115,8 +130,7 @@ class RDETuple:
 
 def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
     """Full joint p(a, b, e, v, u) under the scheme's Markov structure."""
-    if scheme.v_channel.input != source.a_alphabet:
-        raise InvalidArgument("v_channel input alphabet must match source A")
+    scheme.check_fits(source)
     return joint_from(
         source.joint,
         [("V", scheme.v_channel, "A"), ("U", scheme.u_channel, "V")],
@@ -168,11 +182,7 @@ def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
     Delta = [H(A|VB) + I(A;B|U) - I(A;E|U)]_+ with the positive part
     applied at the end only.
     """
-    if scheme.v_channel.input != source.a_alphabet:
-        raise InvalidArgument("v_channel input alphabet must match source A")
-    if scheme.reconstruction.shape != (len(scheme.v_channel.output),
-                                       len(source.b_alphabet)):
-        raise InvalidArgument("reconstruction shape does not match |V| x |B|")
+    scheme.check_fits(source)
     rate, dist, delta, _ = rde_batch(
         source.p_abe, source.distortion, scheme.v_channel.rows[None],
         scheme.u_channel.rows[None], scheme.reconstruction[None])
@@ -204,12 +214,8 @@ def identity_scheme(source: SecureSource,
 
 def lossless_region_point(source: SecureSource,
                           u_channel: ConditionalPmf) -> RDETuple:
-    """Zero-distortion point: (H(A|B), 0, [I(A;B|U) - I(A;E|U)]_+), the V = A scheme."""
-    if u_channel.input != source.a_alphabet:
-        raise InvalidArgument("u_channel input alphabet must match source A")
-    v = np.eye(len(source.a_alphabet))[None]
-    rate, _, delta, _ = rde_batch(source.p_abe, source.distortion, v, u_channel.rows[None])
-    return RDETuple(float(rate[0]), 0.0, float(delta[0]))
+    """The V = A scheme's (H(A|B), E[d(A, A)], [I(A;B|U) - I(A;E|U)]_+), as evaluated."""
+    return evaluate_scheme(source, identity_scheme(source, u_channel))
 
 
 def less_noisy_bound(source: SecureSource, scheme: AuxScheme) -> RDETuple:
@@ -268,10 +274,10 @@ def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
     if count > MAX_GRID_CHANNELS:
         raise ResourceLimit(f"a grid of {count} channels exceeds the limit "
                             f"{MAX_GRID_CHANNELS}")
-    rows = np.array([c + (resolution - sum(c),)
-                     for c in product(range(resolution + 1), repeat=n_out - 1)
-                     if sum(c) <= resolution]) / resolution
-    return rows[np.array(list(product(range(len(rows)), repeat=n_in)))]
+    rows = all_words(resolution + 1, n_out - 1)  # a row's first n_out - 1 entries
+    rows = rows[rows.sum(axis=1) <= resolution]
+    rows = np.column_stack([rows, resolution - rows.sum(axis=1)]) / resolution
+    return rows[all_words(len(rows), n_in)]
 
 
 def _row_moves(rows: np.ndarray, step: float) -> np.ndarray:

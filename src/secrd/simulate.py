@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probs import InvalidArgument, ResourceLimit, batch_entropy, csv_text
+from .probs import InvalidArgument, ResourceLimit, all_words, batch_entropy, csv_text
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
@@ -74,8 +74,7 @@ class SimConfig:
 
 def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
     """p(a, b, v, u) = p(a, b) p(v | a) p(u | v), axes in that order."""
-    if scheme.v_channel.input != source.a_alphabet:
-        raise InvalidArgument("v_channel input alphabet must match source A")
+    scheme.check_fits(source)
     p_abv = source.p_abe.sum(axis=2)[:, :, None] * scheme.v_channel.rows[:, None, :]
     return p_abv[..., None] * scheme.u_channel.rows
 
@@ -122,14 +121,9 @@ def _safe_log2(p: np.ndarray) -> np.ndarray:
     return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), _LOG_FLOOR)
 
 
-def _words(size: int, n: int) -> np.ndarray:
-    """All size**n words of length n, in lexicographic (base-`size`) order."""
-    return np.arange(size ** n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
-
-
 def _onehot_words(size: int, n: int) -> np.ndarray:
     """(n*size, size**n) matrix: column t is the one-hot of the t-th word."""
-    return np.eye(size)[_words(size, n)].reshape(size ** n, n * size).T
+    return np.eye(size)[all_words(size, n)].reshape(size ** n, n * size).T
 
 
 def _word_sums(table: np.ndarray) -> np.ndarray:
@@ -232,7 +226,7 @@ class Codebook:
         total = na ** n
         if total > ENUM_LIMIT:
             raise ResourceLimit(f"|A|^n = {total} exceeds enumeration limit")
-        seqs = _words(na, n)
+        seqs = all_words(na, n)
         # Meet in the middle: in lexicographic order, the score of sequence
         # t = tl * |A|^(n-h) + tr is left[tl] + right[tr], a sum over its
         # first h and its last n - h letters.

@@ -162,7 +162,10 @@ class TestFileDefects:
         ("row 1: 0.05 0.95\n", "row 1: 0.05 0.95\nrow 1: 0.5 0.5\n"),
         ("output: 0 1\nrow 0: 0.95", "output: 0 1\noutput: 0 1\nrow 0: 0.95"),
         ("input: 0 1\noutput: 0 1\nrow 0: 0.95", "input: 0 1\ninput: 0 1\noutput: 0 1\nrow 0: 0.95"),
-    ], ids=["row-not-an-input", "repeated-row", "repeated-output", "repeated-input"])
+        ("input: 0 1\noutput: 0 1\nrow 0: 0.95", "output: 0 1\nrow 0: 0.95"),
+        ("row 1: 0.05 0.95\n", "row 1: 0.05 0.95 0\n"),
+    ], ids=["row-not-an-input", "repeated-row", "repeated-output", "repeated-input",
+            "missing-input", "long-row"])
     def test_bad_scheme_is_input_error(self, tmp_path, source_file, capsys, old, new):
         bad = tmp_path / "scheme.txt"
         bad.write_text(SCHEME_TEXT.replace(old, new))
@@ -197,9 +200,13 @@ class TestFileDefects:
         ("dmax: 1.0", "dmax: inf"),
         ("distortion: 0 1 1 0", "distortion: 0 2 1 0"),
         ("axis A:", "axis X:"),
+        ("mass:", "# mass:"),
+        ("distortion:", "# distortion:"),
+        ("distortion: 0 1 1 0", "distortion: 0 1 1"),
     ], ids=["repeated-mass", "repeated-dmax", "repeated-distortion", "mass-argument",
             "nan-mass", "nan-dmax-and-distortion", "nan-distortion", "inf-dmax",
-            "distortion-above-dmax", "no-A-axis"])
+            "distortion-above-dmax", "no-A-axis", "missing-mass", "missing-distortion",
+            "short-distortion"])
     def test_bad_source_is_input_error(self, tmp_path, scheme_file, capsys, old, new):
         bad = tmp_path / "source.txt"
         bad.write_text(SOURCE_TEXT.replace(old, new))
@@ -272,6 +279,18 @@ class TestClassify:
         assert code == EXIT_OK
         assert "degraded=" in out and "rev_degraded=" in out
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["--source", str(Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt")],
+         "classify_source_bec_bsc_p0.1_eps0.9.txt"),
+        (["--p", "0.1", "--eps", "0.9"], "classify_p0.1_eps0.9.txt"),
+    ], ids=["source", "bec-bsc"])
+    def test_matches_golden_file(self, capsys, argv, golden):
+        # as printed when the reverse less-noisy verdict came from a second
+        # search on the source rebuilt with B and E swapped
+        assert main(["classify", *argv]) == EXIT_OK
+        path = Path(__file__).parent / "data" / golden
+        assert capsys.readouterr().out == path.read_bytes().decode()
+
     def test_solver_failure_is_resource_error(self, source_file, capsys, monkeypatch):
         monkeypatch.setattr("secrd.ordering.MAX_PIVOTS", 0)
         assert main(["classify", "--source", source_file]) == EXIT_RESOURCE
@@ -342,7 +361,7 @@ class TestSweep:
         assert main(["sweep", "--grid", "-2"]) == EXIT_INVARIANT
         assert "--grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("d_max", ["-1", "nan"])
+    @pytest.mark.parametrize("d_max", ["-1", "nan", "inf"])
     def test_bad_d_max_is_invariant_error(self, capsys, d_max):
         assert main(["sweep", "--d-max", d_max, "--grid", "2"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
@@ -358,8 +377,10 @@ class TestSweep:
     (["sweep", "--rate-budget", "nan"], EXIT_INVARIANT),
     (["binary", "--curve", "--eps", "0"], EXIT_INVARIANT),
     (["binary", "--curve", "--eps", "0", "--grid", "0"], EXIT_INVARIANT),
+    (["binary", "--rate-budget", "-1"], EXIT_INVARIANT),
 ], ids=["slack-inf", "slack-nan", "codebook-overflow", "negative-seed",
-        "negative-rate-budget", "nan-rate-budget", "curve-eps-0", "curve-eps-0-grid-0"])
+        "negative-rate-budget", "nan-rate-budget", "curve-eps-0", "curve-eps-0-grid-0",
+        "binary-negative-rate-budget"])
 def test_bad_argv_ends_in_an_exit_code(argv, code, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -407,6 +428,15 @@ class TestConfigFile:
         # 0.45 > 4p(1-p) = 0.64? no -> less noisy yes; sanity: degraded since
         # 0.45 > 2p = 0.4 fails -> degraded no
         assert out.startswith("degraded=no less_noisy=yes")
+
+    @pytest.mark.parametrize("text", ["p\n", "eps =\n", "= 0.3\n"],
+                             ids=["no-value", "empty-value", "no-key"])
+    def test_malformed_config_line_is_input_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["classify", "--config", str(cfg)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "malformed config line" in captured.err and captured.out == ""
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

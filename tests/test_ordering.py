@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import secrd
@@ -36,6 +38,14 @@ from secrd.probs import (
     compose,
 )
 from secrd.region import MAX_GRID_CHANNELS, SecureSource, _channel_grid
+
+
+def _itertools_channel_grid(n_in, n_out, resolution):
+    """The channel lattice as `_channel_grid` once built it, with itertools.product."""
+    rows = np.array([c + (resolution - sum(c),)
+                     for c in product(range(resolution + 1), repeat=n_out - 1)
+                     if sum(c) <= resolution]) / resolution
+    return rows[np.array(list(product(range(len(rows)), repeat=n_in)))]
 
 
 def _channel(rows, name="y"):
@@ -278,6 +288,15 @@ class TestLessNoisySearch:
         with pytest.raises(InvalidArgument):
             _channel_grid(2, n_out, resolution)
 
+    @pytest.mark.parametrize("n_in, n_out, resolution", [
+        case for case in product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 6, 10, 40))
+        if comb(case[2] + case[1] - 1, case[1] - 1) ** case[0] <= 200_000])
+    def test_channel_grid_matches_itertools_reference(self, n_in, n_out, resolution):
+        got = _channel_grid(n_in, n_out, resolution)
+        want = _itertools_channel_grid(n_in, n_out, resolution)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
     def test_grid_guard_raises_before_allocating(self):
         # 41^5 channels at |A| = 5 would take about 19 GiB; |A| = 4 still runs
@@ -343,6 +362,68 @@ TERNARY_MASS = [0.092, 0.070, 0.054, 0.128, 0.029, 0.036,
 ])
 def test_classify_source_records(source, record):
     assert classify_source(source).to_record() == record
+
+
+def _two_call_record(source):
+    """classify_source's record as two less_noisy_search calls once gave it, the
+    reverse one on the source rebuilt with B and E swapped."""
+    ch_b, ch_e = side_channels(source)
+    degraded = (is_degraded(ch_b, ch_e)[0], is_degraded(ch_e, ch_b)[0])
+    swapped = SecureSource(JointPmf(
+        (("A", source.a_alphabet), ("B", source.e_alphabet), ("E", source.b_alphabet)),
+        np.swapaxes(source.p_abe, 1, 2)), source.distortion)
+    less_noisy = tuple(
+        "yes" if deg else
+        "unknown" if less_noisy_search(src)[0] == "no-violation" else "no"
+        for deg, src in zip(degraded, (source, swapped)))
+    more_capable = tuple(mc or ln == "yes"
+                         for mc, ln in zip(is_more_capable(source), less_noisy))
+    return OrderingVerdict(degraded, less_noisy, more_capable).to_record()
+
+
+@st.composite
+def small_sources(draw):
+    shape = tuple(draw(st.integers(2, 3)) for _ in range(3))
+    weights = np.array(draw(st.lists(st.integers(0, 6), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape)))), dtype=float)
+    weights = weights.reshape(shape)
+    assume(np.all(weights.sum(axis=(1, 2)) > 0))  # side channels need p(a) > 0
+    return _source("ABE", weights / weights.sum(), shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_sources())
+def test_classify_source_matches_two_call_reference(source):
+    assert classify_source(source).to_record() == _two_call_record(source)
+
+
+def test_classify_source_builds_no_pmf_objects(monkeypatch):
+    built = []
+    for cls in (JointPmf, SecureSource):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, post_init=post_init: (built.append(self),
+                                                               post_init(self)))
+    source = _source("ABE", TERNARY_MASS, (3, 2, 2))
+    built.clear()
+    assert classify_source(source).to_record() == (
+        "degraded=no less_noisy=no more_capable=yes "
+        "rev_degraded=no rev_less_noisy=no rev_more_capable=no")
+    assert built == []
+
+
+def test_classify_source_skips_the_grid_when_both_directions_are_degraded():
+    # B = E = A on five symbols: a 41^5 channel grid would exceed the guard
+    source = _source("ABE", np.eye(5)[:, :, None] * np.eye(5)[:, None, :] / 5, (5, 5, 5))
+    assert classify_source(source).to_record() == (
+        "degraded=yes less_noisy=yes more_capable=yes "
+        "rev_degraded=yes rev_less_noisy=yes rev_more_capable=yes")
+
+
+def test_side_channels_need_every_a_symbol():
+    source = _source("ABE", [0.5, 0, 0, 0.5, 0, 0, 0, 0], (2, 2, 2))
+    with pytest.raises(InvalidArgument, match="zero-mass A"):
+        side_channels(source)
 
 
 def test_side_channels_recover_constructors():

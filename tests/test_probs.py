@@ -1,5 +1,7 @@
 """Unit tests for the probability / information-measure core."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from secrd.probs import (
     InvalidArgument,
     JointPmf,
     ParseError,
+    all_words,
     bec,
     binary_entropy,
     binary_star,
@@ -141,6 +144,11 @@ class TestInformationMeasures:
         with pytest.raises(InvalidArgument):
             joint_from(base, [("A", bsc(0.1), "A")])
 
+    def test_joint_from_rejects_a_channel_from_another_alphabet(self):
+        base = JointPmf((("A", BITS),), np.array([0.5, 0.5]))
+        with pytest.raises(InvalidArgument, match="does not match axis 'A'"):
+            joint_from(base, [("V", bsc(0.1, Alphabet(("x", "y"))), "A")])
+
 
 class TestBinaryHelpers:
     def test_binary_entropy_endpoints(self):
@@ -183,6 +191,19 @@ class TestBinaryHelpers:
         np.testing.assert_allclose(ch.rows, [[0.6, 0.4, 0.0], [0.0, 0.4, 0.6]])
         np.testing.assert_allclose(identity_channel(BITS).rows, np.eye(2))
         assert constant_channel(BITS).rows.shape == (2, 1)
+
+    @pytest.mark.parametrize("build", [bsc, bec], ids=["bsc", "bec"])
+    def test_channel_constructors_need_a_binary_input(self, build):
+        with pytest.raises(InvalidArgument, match="binary"):
+            build(0.1, Alphabet(("0", "1", "2")))
+
+
+@pytest.mark.parametrize("size, n", [(1, 0), (1, 3), (2, 0), (2, 1), (2, 5), (3, 4), (41, 2)])
+def test_all_words_is_the_lexicographic_product(size, n):
+    want = np.array(list(product(range(size), repeat=n)), dtype=int).reshape(size ** n, n)
+    got = all_words(size, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("build", [

@@ -29,6 +29,7 @@ from secrd.region import (
     materialize,
     sweep_boundary,
 )
+from secrd.simulate import SimConfig, achievability_rates, run_trials
 
 PARAMS = BecBscParams(p=0.1, eps=0.4689955935892812)
 
@@ -139,6 +140,23 @@ class TestSpecialPoints:
             general = evaluate_scheme(src, identity_scheme(src, u_channel))
             assert tuple(point) == pytest.approx(tuple(general), abs=1e-9)
 
+    def test_lossless_point_reports_its_schemes_distortion(self):
+        # d(a, a) > 0 here, so the V = A scheme's D is E[d(A, A)] = 0.375, not 0
+        hamming = build_source(PARAMS)
+        src = SecureSource(hamming.joint, np.array([[0.5, 1.0], [1.0, 0.25]]))
+        u_channel = bsc(0.2)
+        point = lossless_region_point(src, u_channel)
+        assert point == evaluate_scheme(src, identity_scheme(src, u_channel))
+        assert point.distortion == pytest.approx(0.375, abs=1e-15)
+        zero = lossless_region_point(hamming, u_channel)
+        assert zero.distortion == 0.0
+        assert (zero.rate, zero.equivocation) == (point.rate, point.equivocation)
+
+    def test_lossless_point_needs_u_from_a(self):
+        src = build_source(PARAMS)
+        with pytest.raises(InvalidArgument):
+            lossless_region_point(src, bsc(0.2, Alphabet(("x", "y"))))
+
     def test_eve_less_noisy_bound_equals_residual_entropy(self):
         rng = np.random.default_rng(14)
         src = random_source(rng)
@@ -158,6 +176,68 @@ class TestSpecialPoints:
                  + mutual_information(joint, ("A",), ("B",))
                  - mutual_information(joint, ("A",), ("E",)))
         assert tup.equivocation == pytest.approx(max(0.0, delta), abs=1e-9)
+
+
+class TestSchemeFitsSource:
+    """A map or channel that does not fit the source is an InvalidArgument.
+
+    The maps below once passed: 0.9 was truncated to 0, -1 wrapped to the
+    last symbol, and an index of 7 or a |V| x 2 map on the three-symbol B
+    ended in numpy's IndexError, in run_trials only after some trials.
+    """
+
+    @pytest.mark.parametrize("recon", [
+        [[0.0, 0.9, 1.0], [0.0, 1.0, 1.0]],
+        [[0, -1, 1], [0, 1, 1]],
+        [[0.0, np.nan, 1.0], [0.0, 1.0, 1.0]],
+        [[0.0, np.inf, 1.0], [0.0, 1.0, 1.0]],
+        [[0, 1, 1]],
+        [0, 1, 1],
+    ], ids=["fraction", "negative", "nan", "inf", "one-row", "one-dimensional"])
+    def test_construction_rejects_maps_that_are_not_index_maps(self, recon):
+        with pytest.raises(InvalidArgument, match="reconstruction"):
+            AuxScheme(bsc(0.1), identity_channel(bsc(0.1).output), recon)
+
+    def test_integral_floats_are_indices(self):
+        scheme = AuxScheme(bsc(0.1), identity_channel(bsc(0.1).output),
+                           [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert scheme.reconstruction.dtype == int
+        np.testing.assert_array_equal(scheme.reconstruction, [[0, 0, 1], [0, 1, 1]])
+
+    @staticmethod
+    def _callers(src):
+        good = aux_scheme(PARAMS, BinaryScheme(0.031, 0.05))
+        cfg = SimConfig(n=6, rates=achievability_rates(src, good), trials=50, seed=0)
+        return {
+            "evaluate_scheme": lambda scheme: evaluate_scheme(src, scheme),
+            "materialize": lambda scheme: materialize(src, scheme),
+            "achievability_rates": lambda scheme: achievability_rates(src, scheme),
+            "run_trials": lambda scheme: run_trials(src, scheme, cfg),
+        }
+
+    @pytest.mark.parametrize("caller", ["evaluate_scheme", "materialize",
+                                        "achievability_rates", "run_trials"])
+    @pytest.mark.parametrize("recon, message", [
+        ([[0, 0, 7], [0, 1, 1]], "indices of A"),
+        ([[0, 0], [0, 1]], "does not match"),
+    ], ids=["index-7", "two-columns"])
+    def test_map_must_fit_the_source(self, caller, recon, message):
+        src = build_source(PARAMS)
+        good = aux_scheme(PARAMS, BinaryScheme(0.031, 0.05))
+        scheme = AuxScheme(good.v_channel, good.u_channel, recon)
+        with pytest.raises(InvalidArgument, match=message):
+            self._callers(src)[caller](scheme)
+
+    @pytest.mark.parametrize("caller", ["evaluate_scheme", "materialize",
+                                        "achievability_rates", "run_trials"])
+    def test_v_channel_must_come_from_a(self, caller):
+        src = build_source(PARAMS)
+        xy = Alphabet(("x", "y"))
+        v_channel = ConditionalPmf(xy, Alphabet(("v0", "v1")), np.eye(2))
+        scheme = AuxScheme(v_channel, identity_channel(v_channel.output),
+                           np.zeros((2, 3), dtype=int))
+        with pytest.raises(InvalidArgument, match="source A"):
+            self._callers(src)[caller](scheme)
 
 
 class TestBestReconstruction:
@@ -213,3 +293,13 @@ class TestBoundarySearch:
         cfg = SearchConfig(grid_resolution=2, refine_rounds=3, rate_budget=0.3)
         curve = sweep_boundary(src, [0.0], cfg)
         assert curve.points == []
+
+    def test_empty_distortion_grid_is_rejected(self):
+        with pytest.raises(InvalidArgument, match="nonempty"):
+            sweep_boundary(build_source(PARAMS), [])
+
+    def test_config_beyond_the_caps_is_rejected(self):
+        src = build_source(PARAMS)  # caps |U| <= 4, |V| <= 12
+        for cfg in (SearchConfig(u_size=5), SearchConfig(v_size=13)):
+            with pytest.raises(InvalidArgument, match="cardinality caps"):
+                sweep_boundary(src, [0.1], cfg)
