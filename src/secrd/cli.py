@@ -132,6 +132,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_binary(args) -> int:
+    if not 0.0 <= args.rate_budget < np.inf:
+        raise InvalidArgument(
+            f"--rate-budget must be finite and >= 0, got {args.rate_budget}")
     params = ordering.BecBscParams(args.p, args.eps)
     if args.curve:
         if args.format == "text":

@@ -274,8 +274,11 @@ def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
     if count > MAX_GRID_CHANNELS:
         raise ResourceLimit(f"a grid of {count} channels exceeds the limit "
                             f"{MAX_GRID_CHANNELS}")
-    rows = all_words(resolution + 1, n_out - 1)  # a row's first n_out - 1 entries
-    rows = rows[rows.sum(axis=1) <= resolution]
+    rows = np.zeros((1, 0), dtype=np.int64)  # a row's leading entries, by column
+    for _ in range(n_out - 1):
+        room = resolution + 1 - rows.sum(axis=1)  # choices for the next entry
+        nxt = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        rows = np.column_stack([np.repeat(rows, room, axis=0), nxt])
     rows = np.column_stack([rows, resolution - rows.sum(axis=1)]) / resolution
     return rows[all_words(len(rows), n_in)]
 

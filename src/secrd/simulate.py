@@ -16,10 +16,10 @@ codeword indices were recovered. Blocklengths are capped so that |A|^n
 enumeration stays cheap.
 
 Trials are evaluated together, in chunks of bounded size. Each message's
-preimage (the source words that encode to it) is cached once, and a
-trial's decode scores and Eve's posterior are read over its preimage only,
-each word's log-likelihood being the sum of a table over its first half
-and a table over its second half.
+preimage (the source words that encode to it) is built with the codebook,
+and a trial's decode scores and Eve's posterior are read over its preimage
+only, each word's log-likelihood being the sum of a table over its first
+half and a table over its second half.
 
 Trial t draws its letters from child t of `SeedSequence(seed)`, as
 `spawn()` numbers the children: they are the numbers
@@ -30,7 +30,7 @@ generator rather than by building a generator per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class SimConfig:
             raise InvalidArgument(f"trial count must be at most 2^32, got {self.trials}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
+        if self.max_codewords < 1:
+            raise InvalidArgument(f"max_codewords {self.max_codewords} is below 1")
 
 
 def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
@@ -141,26 +143,18 @@ def _word_sums(table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Codebook:
-    """Nested binned codebooks plus the log-probability tables coding uses."""
+    """Nested binned codebooks, the log-probability tables coding uses, and
+    the encoder's map of every source word, all built at construction."""
 
     source: SecureSource
     scheme: AuxScheme
     cfg: SimConfig
-    u_words: np.ndarray = field(init=False)       # (M1, n) int
-    u_bins: np.ndarray = field(init=False)        # (M1,) int
-    v_words: np.ndarray = field(init=False)       # (M1, M2, n) int
-    v_bins: np.ndarray = field(init=False)        # (M2,) int, shared layout
-    _encode_map: np.ndarray | None = field(init=False, default=None)
-    _encode_ok: np.ndarray | None = field(init=False, default=None)
-    _encode_idx: np.ndarray | None = field(init=False, default=None)
-    _all_seqs: np.ndarray | None = field(init=False, default=None)
-    # the source words that encode to message m, in word order, are
-    # _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
-    _preimage_words: np.ndarray | None = field(init=False, default=None)
-    _preimage_start: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         cfg = self.cfg
+        total = len(self.source.a_alphabet) ** cfg.n
+        if total > ENUM_LIMIT:
+            raise ResourceLimit(f"|A|^n = {total} exceeds enumeration limit")
         p_avu = _p_abvu(self.source, self.scheme).sum(axis=1)
         p_vu = p_avu.sum(axis=0)
         p_u = p_vu.sum(axis=0)
@@ -176,57 +170,56 @@ class Codebook:
         m1, m2, n1, n2 = (_count(rate, cfg.n, cfg.max_codewords) for rate in
                           (cfg.rates.s1, cfg.rates.s2, cfg.rates.r1, cfg.rates.r2))
         if m1 * m2 > cfg.max_codewords:
-            raise ResourceLimit(
-                f"codebook of {m1}x{m2} codewords exceeds budget {cfg.max_codewords}"
-            )
+            raise ResourceLimit(f"codebook of {m1}x{m2} codewords exceeds budget "
+                                f"{cfg.max_codewords}")
         # i.i.d. draws: all u-words first, then the v-words of each u-word
         # in index order, each letter by inverting p(v | u_i)'s cdf.
         rng = np.random.default_rng(cfg.seed)
-        self.u_words = rng.choice(len(p_u), size=(m1, cfg.n), p=p_u)
+        self.u_words = rng.choice(len(p_u), size=(m1, cfg.n), p=p_u)  # (M1, n)
         cum = p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
         draws = rng.random((m1, m2, cfg.n))
-        self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)
+        self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)  # (M1, M2, n)
         self.u_bins = np.arange(m1) % n1
-        self.v_bins = np.arange(m2) % n2
+        self.v_bins = np.arange(m2) % n2  # the same layout for every u-word
         self.n_bins = (n1, n2)
+        self.encode_all()
+
+    def _word(self, seq, axis: int) -> np.ndarray:
+        """`seq` checked to be n letters of the alphabet of A, B or E (axis 0-2)."""
+        word, size = np.asarray(seq), self.source.p_abe.shape[axis]
+        if not (word.shape == (self.cfg.n,) and np.issubdtype(word.dtype, np.integer)
+                and ((word >= 0) & (word < size)).all()):
+            raise InvalidArgument(f"expected {self.cfg.n} letters in range({size}), "
+                                  f"got {seq!r}")
+        return word
 
     # -- encoding ----------------------------------------------------------
 
     def encode(self, a_seq: np.ndarray) -> tuple[tuple[int, int], bool]:
-        """Codeword pair for one source word, as a bin-index message.
+        """Bin-index message of the codeword pair `encode_all` picked for one
+        source word (it maximizes the likelihood of (u, v, a)), and success:
+        whether that likelihood is nonzero."""
+        a = self._word(a_seq, 0)
+        idx = int(np.ravel_multi_index(tuple(a), (len(self.log_a),) * self.cfg.n))
+        r1, r2 = divmod(int(self._encode_map[idx]), self.n_bins[1])
+        return (r1, r2), bool(self._encode_ok[idx])
 
-        The pair is the one `encode_all` picks for the word: it maximizes
-        the joint likelihood of (u, v, a), and success means that
-        likelihood is nonzero.
-        """
-        messages, ok, _ = self.encode_all()
-        na = len(self.source.a_alphabet)
-        idx = int(np.ravel_multi_index(tuple(np.asarray(a_seq)), (na,) * self.cfg.n))
-        r1, r2 = divmod(int(messages[idx]), self.n_bins[1])
-        return (r1, r2), bool(ok[idx])
+    def encode_all(self) -> tuple[np.ndarray, np.ndarray]:
+        """Encode every source word; `__post_init__` calls it once.
 
-    def encode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode every source sequence once; cached.
+        Returns and stores (messages, ok): messages[i] is the packed message
+        id of the i-th word in lexicographic order, ok[i] its encode-success
+        flag. Also stores each word's codeword index s1 * M2 + s2 and the
+        preimage of every message.
 
-        Returns (messages, ok, seqs): messages[i] is a packed message id
-        for the i-th enumerated sequence, ok[i] the encode-success flag.
-
-        Each sequence gets the codeword pair maximizing
+        Each word gets the codeword pair maximizing
         sum_i log p(u_i, v_i, a_i). The u-words are visited in index order:
         a u-word's best score is the top over its v-words, reached first
         (within SCORE_TOL) at the lowest v index, and it replaces the best
         so far only if it beats it by more than SCORE_TOL. SCORE_TOL also
         absorbs summation-order noise.
         """
-        if self._encode_map is not None:
-            return self._encode_map, self._encode_ok, self._all_seqs
-
-        na = len(self.source.a_alphabet)
-        n = self.cfg.n
-        total = na ** n
-        if total > ENUM_LIMIT:
-            raise ResourceLimit(f"|A|^n = {total} exceeds enumeration limit")
-        seqs = all_words(na, n)
+        na, n = len(self.log_a), self.cfg.n
         # Meet in the middle: in lexicographic order, the score of sequence
         # t = tl * |A|^(n-h) + tr is left[tl] + right[tr], a sum over its
         # first h and its last n - h letters.
@@ -235,9 +228,9 @@ class Codebook:
         n_right = right_oh.shape[1]
         m2 = len(self.v_bins)
         pos = np.arange(n)
-        best = np.full(total, -np.inf)
-        best_s1 = np.zeros(total, dtype=np.int64)
-        best_s2 = np.zeros(total, dtype=np.int64)
+        best = np.full(na ** n, -np.inf)
+        best_s1 = np.zeros(na ** n, dtype=np.int64)
+        best_s2 = np.zeros_like(best_s1)
         for s1, u in enumerate(self.u_words):
             lv = self.log_uva[u][pos, self.v_words[s1]]       # (M2, n, A)
             left = lv[:, :h].reshape(m2, -1) @ left_oh        # (M2, A^h)
@@ -258,19 +251,18 @@ class Codebook:
                             + self.v_bins[best_s2])
         self._encode_ok = best > _LOG_FLOOR / 2
         self._encode_idx = best_s1 * m2 + best_s2
-        self._all_seqs = seqs
-        # stable, so each preimage is in word order, as np.nonzero lists it
+        # the words that encode to message m, in word order (the sort is
+        # stable), are _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
         self._preimage_words = np.argsort(self._encode_map, kind="stable")
         sizes = np.bincount(self._encode_map,
                             minlength=self.n_bins[0] * self.n_bins[1])
         self._preimage_start = np.concatenate(([0], np.cumsum(sizes)))
-        return self._encode_map, self._encode_ok, self._all_seqs
+        return self._encode_map, self._encode_ok
 
     def _trial_cells(self) -> int:
         """Cells one trial adds to a chunk's largest arrays: its (b, e) draw
         against the cdf, its preimage, its in-bin pair slots and its two
         half-word tables."""
-        self.encode_all()
         na, nb, ne = self.source.p_abe.shape
         n = self.cfg.n
         return (n * nb * ne + int(np.diff(self._preimage_start).max())
@@ -295,7 +287,6 @@ class Codebook:
         top[k] = max L + max R is the exact maximum over all |A|^n words,
         because rounding is monotone.
         """
-        self.encode_all()
         h = self.cfg.n // 2
         table = self.log_a + log_x_given_a[:, x_seqs].transpose(1, 2, 0)
         left, right = _word_sums(table[:, :h]), _word_sums(table[:, h:])
@@ -318,15 +309,15 @@ class Codebook:
         bins is scored by the posterior mass of the source sequences that
         encode to it, weighted by p(b | a). Returns (a_hat_seq, (s1, s2));
         the caller judges success by comparing the indices with the
-        encoder's. A bin index outside (N1, N2) raises InvalidArgument.
+        encoder's. A bin index outside (N1, N2), or a `b_seq` that is not n
+        letters of B, raises InvalidArgument.
         """
         r1, r2 = message
         if not (0 <= r1 < self.n_bins[0] and 0 <= r2 < self.n_bins[1]):
             raise InvalidArgument(f"message {message} outside the bins {self.n_bins}")
-        b = np.asarray(b_seq)
-        s1, s2 = self._decode_batch(np.array([r1 * self.n_bins[1] + r2]), b[None])
-        s1, s2 = int(s1[0]), int(s2[0])
-        return self.scheme.reconstruction[self.v_words[s1, s2], b], (s1, s2)
+        b = self._word(b_seq, 1)
+        (s1,), (s2,) = self._decode_batch(np.array([r1 * self.n_bins[1] + r2]), b[None])
+        return self.scheme.reconstruction[self.v_words[s1, s2], b], (int(s1), int(s2))
 
     def _decode_batch(self, msg_ids: np.ndarray, b_seqs: np.ndarray):
         """`decode` for K trials at once: the (s1, s2) arrays.
@@ -368,13 +359,13 @@ class Codebook:
 
 def exact_equivocation(codebook: Codebook, message_id: int,
                        e_seq: np.ndarray) -> float:
-    """(1/n) H(A^n | W = message, E^n = e_seq), by full enumeration."""
-    codebook.encode_all()
+    """(1/n) H(A^n | W = message, E^n = e_seq), by full enumeration; e_seq
+    must be n letters of E."""
     start = codebook._preimage_start
     if not (0 <= message_id < len(start) - 1
             and start[message_id] < start[message_id + 1]):
         raise InvalidArgument("message has an empty source preimage")
-    e = np.asarray(e_seq)
+    e = codebook._word(e_seq, 2)
     return float(codebook._equivocation_batch(np.array([message_id]), e[None])[0])
 
 
@@ -493,7 +484,7 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     if cfg.trials == 0:
         return TrialSummary([], 0.0, 0.0, 0.0, 0.0)
     codebook = Codebook(source, scheme, cfg)
-    messages, enc_ok, _ = codebook.encode_all()
+    messages, enc_ok = codebook._encode_map, codebook._encode_ok
 
     p_abe = source.p_abe
     na, nb, ne = p_abe.shape

@@ -242,6 +242,19 @@ class TestBinary:
     def test_bad_parameter_is_invariant_error(self, capsys):
         assert main(["binary", "--p", "0.7"]) == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("budget", ["nan", "-0.5", "inf", "-inf"])
+    def test_bad_rate_budget_is_invariant_error(self, capsys, budget):
+        # nan and -0.5 once failed inside the h2 inverse; inf printed a table
+        assert main(["binary", f"--rate-budget={budget}"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "--rate-budget" in captured.err and captured.out == ""
+
+    def test_rate_budget_above_one_is_clamped(self, capsys):
+        assert main(["binary", "--rate-budget", "1.5"]) == EXIT_OK
+        above = capsys.readouterr().out
+        assert main(["binary", "--rate-budget", "1"]) == EXIT_OK
+        assert above == capsys.readouterr().out
+
     def test_curve_matches_golden_file(self, capsys):
         # the README curve, as the scalar per-point search printed it
         code = main(["binary", "--p", "0.1", "--eps", "0.469", "--curve",

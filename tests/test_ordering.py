@@ -297,6 +297,18 @@ class TestLessNoisySearch:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 5, 40), (1, 4, 100)])
+    def test_channel_grid_peak_memory_stays_near_its_result(self, shape):
+        # filtering every (resolution + 1)^(n_out - 1) row prefix peaked at
+        # 33x and 9x the result at these shapes
+        tracemalloc.start()
+        try:
+            grid = _channel_grid(*shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.nbytes
+
 
     def test_grid_guard_raises_before_allocating(self):
         # 41^5 channels at |A| = 5 would take about 19 GiB; |A| = 4 still runs

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrd.binary import BITS, BecBscParams, BinaryScheme, aux_scheme, build_source
-from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, bec, bsc,
-                         joint_from)
+from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, all_words,
+                         bec, bsc, joint_from)
 from secrd.region import AuxScheme, SecureSource
 from secrd.simulate import (
     CHUNK_CELLS,
@@ -88,10 +88,15 @@ def case_source(case):
     return build_source(params), aux_scheme(params, scheme)
 
 
+def source_words(book):
+    """Every source word, in the lexicographic order the encoder indexes."""
+    return all_words(len(book.source.a_alphabet), book.cfg.n)
+
+
 def reference_decode(book, log_prior, message, b):
     """Codeword pair by exact MAP over every source word, one trial."""
     r1, r2 = message
-    seqs = book.encode_all()[2]
+    seqs = source_words(book)
     logw = log_prior + book.log_b_given_a[seqs, b[None, :]].sum(axis=1)
     w = np.exp2(logw - logw.max())
     m2 = len(book.v_bins)
@@ -104,8 +109,8 @@ def reference_decode(book, log_prior, message, b):
 
 def reference_equivocation(book, log_prior, message_id, e):
     """(1/n) H(A^n | W, E^n = e) from the message's preimage, one trial."""
-    messages, _, seqs = book.encode_all()
-    idx = np.nonzero(messages == message_id)[0]
+    seqs = source_words(book)
+    idx = np.nonzero(book._encode_map == message_id)[0]
     w = log_prior[idx] + book.log_e_given_a[seqs[idx], e[None, :]].sum(axis=1)
     post = np.exp2(w - w.max())
     post /= post.sum()
@@ -116,7 +121,7 @@ def reference_equivocation(book, log_prior, message_id, e):
 def reference_trials(source, scheme, cfg):
     """run_trials one trial at a time, decoding and equivocating over all words."""
     book = Codebook(source, scheme, cfg)
-    messages, enc_ok, seqs = book.encode_all()
+    messages, enc_ok, seqs = book._encode_map, book._encode_ok, source_words(book)
     log_prior = book.log_a[seqs].sum(axis=1)
     p_abe = source.p_abe
     na, nb, ne = p_abe.shape
@@ -171,6 +176,9 @@ class TestRates:
             SimConfig(n=0, rates=rates, trials=10, seed=0)
         with pytest.raises(InvalidArgument):
             SimConfig(n=4, rates=rates, trials=-1, seed=0)
+        for budget in (0, -4):  # once a log2 RuntimeWarning, then "budget 0"
+            with pytest.raises(InvalidArgument, match="max_codewords"):
+                SimConfig(n=4, rates=rates, trials=1, seed=0, max_codewords=budget)
 
     def test_trial_count_within_one_word_spawn_keys(self):
         # constructed only: trial keys 0 .. trials - 1 must stay below 2^32
@@ -220,9 +228,17 @@ class TestCodebook:
         src, aux = canonical()
         rates = SimRates(0.1, 0.1, 0.1, 0.1)  # tiny codebook, huge 2^n
         cfg = SimConfig(n=40, rates=rates, trials=1, seed=0)
-        book = Codebook(src, aux, cfg)
         with pytest.raises(ResourceLimit):
-            book.encode_all()
+            Codebook(src, aux, cfg)
+
+    def test_blocklength_guard_comes_before_the_codebook(self, monkeypatch):
+        # rates past the codeword budget too: the enumeration check fires
+        # first, and no codeword is drawn
+        src, aux = canonical()
+        cfg = SimConfig(n=40, rates=SimRates(2.0, 1.0, 2.0, 1.0), trials=1, seed=0)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ResourceLimit, match="enumeration limit"):
+            Codebook(src, aux, cfg)
 
     def test_resource_guard_on_codebook_size(self):
         src, aux = canonical()
@@ -236,7 +252,7 @@ class TestCodebook:
         rates = achievability_rates(src, aux, slack=0.1)
         cfg = SimConfig(n=6, rates=rates, trials=1, seed=3)
         book = Codebook(src, aux, cfg)
-        messages, ok, seqs = book.encode_all()
+        (messages, ok), seqs = book.encode_all(), all_words(2, 6)
         rng = np.random.default_rng(0)
         for i in rng.choice(len(seqs), size=10, replace=False):
             msg, good = book.encode(seqs[i])
@@ -258,7 +274,7 @@ class TestCodebook:
         for seed in range(3):
             book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1,
                                                 seed=seed))
-            messages, ok, seqs = book.encode_all()
+            (messages, ok), seqs = book.encode_all(), all_words(2, n)
             np.testing.assert_array_equal(  # lexicographic, as indexed
                 seqs, list(itertools.product(range(2), repeat=n)))
             idx, want_ok = brute_force_encoder(book, seqs)
@@ -291,7 +307,7 @@ class TestCodebook:
         src, aux = build_source(params), aux_scheme(params, SCHEME)
         rates = achievability_rates(src, aux, slack=0.1)
         book = Codebook(src, aux, SimConfig(n=8, rates=rates, trials=1, seed=1))
-        messages, _, seqs = book.encode_all()
+        (messages, _), seqs = book.encode_all(), all_words(2, 8)
         log_prior = book.log_a[seqs].sum(axis=1)
         m2 = len(book.v_bins)
         b_of_a = np.array([0, 2])  # B alphabet order: 0, e, 1
@@ -312,13 +328,58 @@ class TestCodebook:
                 book.decode(outside, b)
 
 
+class TestWordChecks:
+    """encode, decode and exact_equivocation take n integer letters of A, B, E."""
+
+    CALLS = {
+        "encode": lambda book, word: book.encode(word),
+        "decode": lambda book, word: book.decode((0, 0), word),
+        "equivocation": lambda book, word: exact_equivocation(
+            book, int(book._encode_map[0]), word),
+    }
+
+    @pytest.fixture(scope="class")
+    def book(self):
+        src, aux = canonical()  # |A| = |E| = 2, |B| = 3
+        rates = achievability_rates(src, aux, slack=0.1)
+        return Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=4))
+
+    @pytest.mark.parametrize("call, word", [
+        ("encode", [0, 1, 0, 0, 1]),
+        ("encode", [0, 1, 0, 0, 1, 2]),
+        ("encode", [0, 1, 0, 0, 1, -1]),
+        ("decode", [0, 1, 2, 0, 1]),
+        ("decode", [0, 1, 2, 0, 1, 3]),
+        ("decode", [0, 1, 2, 0, 1, -1]),
+        ("decode", [[0, 1, 2, 0, 1, 1]]),
+        ("equivocation", [0, 1, 0, 0, 1]),
+        ("equivocation", [0, 1, 0, 0, 1, 1, 0]),
+        ("equivocation", [0, 1, 0, 0, 1, -1]),
+        ("equivocation", [0, 1, 0, 0, 1, 2]),
+        ("equivocation", [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]),
+    ], ids=["encode-short", "encode-letter-2", "encode-minus-one", "decode-short",
+            "decode-letter-3", "decode-minus-one", "decode-2d", "equivocation-short",
+            "equivocation-long", "equivocation-minus-one", "equivocation-letter-2",
+            "equivocation-floats"])
+    def test_bad_word_is_invalid_argument(self, book, call, word):
+        with pytest.raises(InvalidArgument, match="6 letters"):
+            self.CALLS[call](book, word)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_any_integer_dtype_is_a_word(self, book, call):
+        word = [0, 1, 1, 0, 0, 1]
+        got, want = (self.CALLS[call](book, w)
+                     for w in (np.array(word, dtype=np.uint8), word))
+        assert repr(got) == repr(want)  # decode's result holds an array
+
+
 class TestEquivocation:
     def test_bounds_and_determinism(self):
         src, aux = canonical()
         rates = achievability_rates(src, aux, slack=0.1)
         cfg = SimConfig(n=6, rates=rates, trials=1, seed=4)
         book = Codebook(src, aux, cfg)
-        messages, _, _ = book.encode_all()
+        messages, _ = book.encode_all()
         e_seq = np.array([0, 1, 0, 0, 1, 0])
         val = exact_equivocation(book, int(messages[5]), e_seq)
         assert 0.0 <= val <= 1.0
@@ -336,7 +397,7 @@ class TestEquivocation:
         aux = aux_scheme(params, SCHEME)
         rates = achievability_rates(src, aux, slack=0.1)
         book = Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=4))
-        messages, _, seqs = book.encode_all()
+        (messages, _), seqs = book.encode_all(), all_words(2, 6)
         p_ae = src.joint.marginal(("A", "E")).mass
         for msg in np.unique(messages)[:8]:
             sub = seqs[messages == msg]
@@ -352,7 +413,7 @@ class TestEquivocation:
         rates = achievability_rates(src, aux, slack=0.1)
         cfg = SimConfig(n=6, rates=rates, trials=1, seed=4)
         book = Codebook(src, aux, cfg)
-        messages, _, _ = book.encode_all()
+        messages, _ = book.encode_all()
         unused = int(messages.max()) + 1
         with pytest.raises(InvalidArgument):
             exact_equivocation(book, unused, np.zeros(6, dtype=int))
