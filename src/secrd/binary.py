@@ -2,13 +2,15 @@
 
 Closed-form region expressions for binary-symmetric auxiliary variables
 (alpha: A->V crossover, beta: V->U crossover), the numeric table of
-achievable tuples, and the equivocation-vs-distortion curve sweep. Every
-closed-form value is cross-checkable against the general region
+achievable tuples, and the equivocation-vs-distortion curve sweep, whose
+best beta comes from one maximizer of the x = alpha*beta part per (p, eps).
+Every closed-form value is cross-checkable against the general region
 evaluator via `oracle_check`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,60 +108,50 @@ def oracle_check(params: BecBscParams, scheme: BinaryScheme) -> float:
     return max(abs(a - b) for a, b in zip(general, closed))
 
 
-SCAN_BLOCK = 16  # alphas per beta-scan block; keeps the scan temporaries small
+def _bisect(rising, steps: int) -> tuple[float, float]:
+    """Halve [0, 1/2] `steps` times; `lo` is the last point where `rising` held."""
+    lo, hi = 0.0, 0.5
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
-def _best_beta(params: BecBscParams, alphas, scan_points: int = 512,
-               tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+def _best_beta(params: BecBscParams, alphas) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the equivocation over beta in [0, 1/2], for each alpha.
 
-    Coarse scan followed by golden-section refinement around the best
-    scanned point, run in lockstep over all alphas; each row stops once
-    its own bracket is narrower than `tol`. Returns (beta, delta) arrays.
+    Delta depends on beta only through x = alpha*beta = alpha + beta(1-2alpha),
+    which runs over [alpha, 1/2]. Its x-part (1-eps) h2(x) - h2(p*x) is
+    concave in h2(x) (Mrs. Gerber's Lemma), so one maximizer x0 serves every
+    alpha. When Bob is less noisy (eps <= 4p(1-p)) the slope in h2(x) at
+    x = 1/2 is (1-eps) - (1-2p)^2 >= 0 and x0 = 1/2; otherwise x0 is the
+    last point found to have a positive slope in x, 0 when p = 0 or eps = 1.
+    Beta carries alpha to x0, or is 0 (Wyner-Ziv) when alpha >= x0. Returns
+    (beta, delta) arrays.
     """
+    p, eps = params.p, params.eps
+    x0 = 0.5
+    if eps > 4.0 * p * (1.0 - p):
+        def rising(x):
+            y = p + x * (1.0 - 2.0 * p)
+            return ((1.0 - eps) * math.log2((1.0 - x) / x)
+                    > (1.0 - 2.0 * p) * math.log2((1.0 - y) / y))
+        x0 = _bisect(rising, 64)[0]
     alphas = np.asarray(alphas, dtype=float)
-
-    def delta(al, beta):
-        return closed_form_batch(params, al, beta)[2]
-
-    betas = np.linspace(0.0, 0.5, scan_points)
-    best = np.empty(alphas.size, dtype=int)
-    for i in range(0, alphas.size, SCAN_BLOCK):
-        best[i:i + SCAN_BLOCK] = np.argmax(
-            delta(alphas[i:i + SCAN_BLOCK, None], betas), axis=1)
-    a = betas[np.maximum(0, best - 1)]
-    b = betas[np.minimum(scan_points - 1, best + 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = delta(alphas, c), delta(alphas, d)
-    rows = np.flatnonzero(b - a > tol)
-    while rows.size:
-        ra, rb, rc, rd = a[rows], b[rows], c[rows], d[rows]
-        rfc, rfd = fc[rows], fd[rows]
-        left = rfc >= rfd  # keep [a, d]: the new point is the lower one
-        ra = np.where(left, ra, rc)
-        rb = np.where(left, rd, rb)
-        x = np.where(left, rb - phi * (rb - ra), ra + phi * (rb - ra))
-        fx = delta(alphas[rows], x)
-        a[rows], b[rows] = ra, rb
-        c[rows] = np.where(left, x, rd)
-        d[rows] = np.where(left, rc, x)
-        fc[rows] = np.where(left, fx, rfd)
-        fd[rows] = np.where(left, rfc, fx)
-        rows = rows[rb - ra > tol]
-    beta = 0.5 * (a + b)
-    # snap to the exact Wyner-Ziv endpoint
-    snap = (beta < tol) & (delta(alphas, 0.0) >= delta(alphas, beta) - 1e-15)
-    beta[snap] = 0.0
-    return beta, delta(alphas, beta)
+    beta = np.zeros_like(alphas)
+    below = alphas < x0
+    beta[below] = (x0 - alphas[below]) / (1.0 - 2.0 * alphas[below])
+    return beta, closed_form_batch(params, alphas, beta)[2]
 
 
 def sweep_curve(params: BecBscParams, d_grid) -> list[CurvePoint]:
     """Equivocation-vs-distortion curve for the distortion-tight alpha.
 
     For each D: alpha = D/eps, delta_wz is the beta = 0 value and
-    delta_general the maximum over beta.
+    delta_general the maximum over beta, reached at beta_opt (`_best_beta`).
     """
     if params.eps <= 0:
         raise InvalidArgument("sweep needs eps > 0")
@@ -207,17 +199,11 @@ def benchmark_table(params: BecBscParams, rate_budget_fraction: float = 0.8):
             for name, tup, scheme in zip(TABLE_COLUMNS, tuples, schemes)}
 
 
-def _inverse_h2(y: float, tol: float = 1e-12) -> float:
-    """The unique x in [0, 1/2] with h2(x) = y."""
+def _inverse_h2(y: float) -> float:
+    """The unique x in [0, 1/2] with h2(x) = y, to within 1e-12."""
     if not 0.0 <= y <= 1.0:
         raise InvalidArgument("h2 value must lie in [0, 1]")
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda x: binary_entropy(x) < y, 39)  # 0.5 / 2**39 < 1e-12
     return 0.5 * (lo + hi)
 
 

@@ -193,15 +193,16 @@ def classify_bec_bsc(params: BecBscParams) -> OrderingVerdict:
     """Exact verdict for the BEC(eps)-to-Bob / BSC(p)-to-Eve family.
 
     In the B-over-E direction: degraded iff eps <= 2p, less noisy iff
-    eps <= 4p(1-p), more capable iff eps <= h2(p). The reverse direction
-    holds only in the degenerate case p = 0 (Eve sees A perfectly).
+    eps <= 4p(1-p), more capable iff eps <= h2(p). In reverse, degraded iff
+    p = 0 (Eve sees A) or eps = 1 (Bob sees nothing); the reverse less-noisy
+    and more-capable verdicts repeat it, so they miss the cases where only
+    the weaker order holds (more capable wherever eps >= h2(p)).
     """
     p, eps = params.p, params.eps
     deg = eps <= 2.0 * p + FEAS_TOL
     ln = eps <= 4.0 * p * (1.0 - p) + FEAS_TOL
     mc = eps <= binary_entropy(p) + FEAS_TOL
-    rev = p <= FEAS_TOL
-    rev_eps = rev or eps >= 1.0 - FEAS_TOL and p >= 0.5 - FEAS_TOL
+    rev_eps = p <= FEAS_TOL or eps >= 1.0 - FEAS_TOL
     return OrderingVerdict(
         degraded=(deg, rev_eps),
         less_noisy=("yes" if ln else "no", "yes" if rev_eps else "no"),

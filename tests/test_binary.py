@@ -1,9 +1,9 @@
 """Unit tests for the binary BEC/BSC worked example."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrd.binary import (
     BITS,
@@ -11,6 +11,7 @@ from secrd.binary import (
     BecBscParams,
     BinaryScheme,
     CurvePoint,
+    _best_beta,
     _inverse_h2,
     aux_scheme,
     build_source,
@@ -28,6 +29,7 @@ from secrd.probs import (
     JointPmf,
     bec,
     binary_entropy,
+    binary_star,
     bsc,
     joint_from,
 )
@@ -64,7 +66,7 @@ def _scalar_delta(params, al, be):
 
 
 def _scalar_best_beta(params, alpha, scan_points=512, tol=1e-7):
-    """Per-point beta scan and golden-section search (the loop reference)."""
+    """Per-point beta scan and golden-section search (a lower reference)."""
 
     def delta(beta):
         return _scalar_delta(params, alpha, beta)
@@ -111,6 +113,28 @@ EDGE_PAIRS = [(0.1, 0.469), (0.1, EPS_STAR), (0.0, 0.469), (0.5, 0.469),
               (0.1, 1.0), (0.0, 1.0), (0.5, 1.0), (0.25, 0.01)]
 RANDOM_PAIRS = [(float(p), float(e)) for p, e in
                 np.random.default_rng(5).uniform([0.0, 0.01], [0.5, 1.0], (16, 2))]
+CURVE_CASES = [(p, e, 7) for p, e in EDGE_PAIRS + RANDOM_PAIRS] + [(0.1, 0.64, 60)]
+
+
+def _best_x(params):
+    """The maximizing x = alpha*beta: the best beta at alpha = 0."""
+    return float(_best_beta(params, [0.0])[0][0])
+
+
+def _check_exact_endpoints(params, alphas):
+    """beta is exactly 0 iff alpha >= x0; x0 is exactly 1/2 when Bob is less
+    noisy and exactly 0 when, outside that, p = 0 or eps = 1."""
+    p, eps = params.p, params.eps
+    x0 = _best_x(params)
+    alphas = np.concatenate([alphas, [0.0, x0, np.nextafter(x0, 0.0), 0.5]])
+    beta = _best_beta(params, alphas)[0]
+    assert np.array_equal(beta == 0.0, alphas >= x0)
+    assert np.all((0.0 <= beta) & (beta <= 0.5))
+    if eps <= 4.0 * p * (1.0 - p):
+        assert x0 == 0.5
+        assert np.all(beta[alphas < 0.5] == 0.5)
+    elif p == 0.0 or eps == 1.0:
+        assert x0 == 0.0
 
 
 class TestScheme:
@@ -188,16 +212,41 @@ class TestCurve:
             sweep_curve(PARAMS, [0.0, float("nan"), 0.01])
 
     # 7-point grids end at D = 0 (alpha = 0) and D = eps/2 (alpha = 1/2). The
-    # 60-point grid has a D whose best beta lies inside the first scan cell:
-    # that row's bracket starts half as wide and converges a step earlier.
-    @pytest.mark.parametrize("p,eps,n", [(p, e, 7) for p, e in EDGE_PAIRS + RANDOM_PAIRS]
-                             + [(0.1, 0.64, 60)])
+    # 60-point grid has a D whose best beta lies inside the first cell of the
+    # reference's 512-point scan.
+    @pytest.mark.parametrize("p,eps,n", CURVE_CASES)
     def test_matches_scalar_loop(self, p, eps, n):
         params = BecBscParams(p, eps)
         grid = np.linspace(0.0, eps / 2.0, n)
         got, want = sweep_curve(params, grid), _scalar_curve(params, grid)
-        assert [_bits(astuple(pt)) for pt in got] == [_bits(astuple(pt)) for pt in want]
-        assert curve_csv(got) == curve_csv(want)
+        for field in ("D", "alpha", "delta_wz"):
+            assert (_bits([getattr(pt, field) for pt in got])
+                    == _bits([getattr(pt, field) for pt in want])), field
+        for new, ref in zip(got, want):
+            assert new.delta_general >= ref.delta_general - 1e-15, new.D
+
+    @pytest.mark.parametrize("p,eps,n", CURVE_CASES)
+    def test_no_beta_on_a_grid_does_better(self, p, eps, n):
+        params = BecBscParams(p, eps)
+        pts = sweep_curve(params, np.linspace(0.0, eps / 2.0, n))
+        alphas = np.array([pt.alpha for pt in pts])
+        # closed_form_batch is bit for bit _scalar_delta (test_kernel_matches_closed_form)
+        grid = closed_form_batch(params, alphas[:, None], np.linspace(0.0, 0.5, 4097))[2]
+        for pt, best in zip(pts, grid.max(axis=1)):
+            assert pt.delta_general >= best - 1e-15, pt.D
+
+    @pytest.mark.parametrize("p,eps,n", CURVE_CASES)
+    def test_best_x_is_the_argmax_on_a_dense_grid(self, p, eps, n):
+        params = BecBscParams(p, eps)
+        xs = np.linspace(0.0, 0.5, 100_001)
+        x_part = (1.0 - eps) * binary_entropy(xs) - binary_entropy(binary_star(p, xs))
+        # ties up to rounding: at p = 1/2, eps = 1 every x is a maximizer
+        argmax = xs[x_part >= x_part.max() - 1e-15]
+        assert np.min(np.abs(_best_x(params) - argmax)) <= xs[1]
+
+    @pytest.mark.parametrize("p,eps,n", CURVE_CASES)
+    def test_exact_endpoints(self, p, eps, n):
+        _check_exact_endpoints(BecBscParams(p, eps), np.linspace(0.0, 0.5, n))
 
     @pytest.mark.parametrize("p,eps", EDGE_PAIRS + RANDOM_PAIRS[:4])
     def test_kernel_matches_closed_form(self, p, eps):
@@ -216,6 +265,17 @@ class TestCurve:
         lines = curve_csv(pts).splitlines()
         assert lines[0] == "D,delta_general,delta_wz,alpha,beta_opt"
         assert len(lines) == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 0.5), st.floats(1e-3, 1.0), st.floats(0.0, 0.5))
+def test_best_beta_beats_a_beta_grid(p, eps, d_share):
+    # d_share picks D = d_share * eps, so alpha = d_share
+    params = BecBscParams(p, eps)
+    pt, = sweep_curve(params, [min(d_share * eps, eps / 2.0)])
+    grid = closed_form_batch(params, pt.alpha, np.linspace(0.0, 0.5, 4097))[2]
+    assert pt.delta_general >= grid.max() - 1e-15
+    _check_exact_endpoints(params, np.array([pt.alpha]))
 
 
 class TestHelpers:

@@ -256,12 +256,23 @@ class TestBinary:
         assert above == capsys.readouterr().out
 
     def test_curve_matches_golden_file(self, capsys):
-        # the README curve, as the scalar per-point search printed it
+        # the README curve; each beta_opt is the correctly rounded optimum
         code = main(["binary", "--p", "0.1", "--eps", "0.469", "--curve",
                      "--grid", "200", "--format", "csv"])
         assert code == EXIT_OK
         golden = Path(__file__).parent / "data" / "curve_p0.1_eps0.469.csv"
         assert capsys.readouterr().out == golden.read_bytes().decode()
+
+    @pytest.mark.parametrize("argv, golden", [
+        ([], "binary_p0.1_eps0.469.txt"),
+        (["--format", "csv"], "binary_p0.1_eps0.469.csv"),
+    ], ids=["text", "csv"])
+    def test_table_matches_golden_file(self, capsys, argv, golden):
+        # as printed when the best beta came from a beta scan and a
+        # golden-section search
+        assert main(["binary", *argv]) == EXIT_OK
+        path = Path(__file__).parent / "data" / golden
+        assert capsys.readouterr().out == path.read_bytes().decode()
 
     def test_curve_writes_csv(self, capsys):
         assert main(["binary", "--curve", "--grid", "3"]) == EXIT_OK
@@ -296,7 +307,8 @@ class TestClassify:
         (["--source", str(Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt")],
          "classify_source_bec_bsc_p0.1_eps0.9.txt"),
         (["--p", "0.1", "--eps", "0.9"], "classify_p0.1_eps0.9.txt"),
-    ], ids=["source", "bec-bsc"])
+        (["--p", "0.1", "--eps", "1"], "classify_p0.1_eps1.txt"),
+    ], ids=["source", "bec-bsc", "bec-bsc-eps1"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when the reverse less-noisy verdict came from a second
         # search on the source rebuilt with B and E swapped
@@ -349,6 +361,13 @@ class TestSimulate:
     def test_enumeration_guard(self, capsys):
         assert main(["simulate", "--n", "20", "--trials", "1"]) == EXIT_RESOURCE
         assert "exceeds" in capsys.readouterr().err
+
+    def test_codebook_product_guard(self, capsys):
+        # each codebook fits the budget, their product does not
+        assert main(["simulate", "--n", "14", "--slack", "0.3"]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err == "error: codebook of 6534x122 codewords exceeds budget 65536\n"
+        assert captured.out == ""
 
 
 class TestSweep:

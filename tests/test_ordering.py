@@ -242,6 +242,14 @@ class TestClassify:
         assert classify_bec_bsc(BecBscParams(0.0, 0.3)).degraded[1]
         assert not classify_bec_bsc(BecBscParams(0.1, 0.3)).degraded[1]
 
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.1, 0.3, 0.5])
+    def test_reverse_direction_at_eps_one(self, p):
+        # Bob sees only erasures: his output is a degraded copy of any BSC(p)
+        params = BecBscParams(p, 1.0)
+        verdict = classify_bec_bsc(params)
+        assert verdict.degraded[1] and is_degraded(bsc(p), bec(1.0))[0]
+        assert verdict == classify_source(build_source(params))
+
     def test_record_format(self):
         rec = classify_bec_bsc(BecBscParams(0.1, 0.1)).to_record()
         assert rec == ("degraded=yes less_noisy=yes more_capable=yes "

@@ -247,6 +247,16 @@ class TestCodebook:
         with pytest.raises(ResourceLimit):
             Codebook(src, aux, cfg)
 
+    def test_resource_guard_on_codebook_product(self, monkeypatch):
+        # 32 u-words and 32 v-words each fit a budget of 256, 32 x 32 does not;
+        # the guard fires before any codeword is drawn
+        src, aux = canonical()
+        cfg = SimConfig(n=10, rates=SimRates(0.5, 0.1, 0.5, 0.1), trials=1, seed=0,
+                        max_codewords=256)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ResourceLimit, match="codebook of 32x32 codewords exceeds budget 256"):
+            run_trials(src, aux, cfg)
+
     def test_single_encode_matches_batch(self):
         src, aux = canonical()
         rates = achievability_rates(src, aux, slack=0.1)
