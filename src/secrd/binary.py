@@ -203,7 +203,8 @@ def _inverse_h2(y: float) -> float:
     """The unique x in [0, 1/2] with h2(x) = y, to within 1e-12."""
     if not 0.0 <= y <= 1.0:
         raise InvalidArgument("h2 value must lie in [0, 1]")
-    lo, hi = _bisect(lambda x: binary_entropy(x) < y, 39)  # 0.5 / 2**39 < 1e-12
+    # h2 on plain floats (_bisect never tries x = 0 or 1/2); 0.5 / 2**39 < 1e-12
+    lo, hi = _bisect(lambda x: -x * math.log2(x) - (1 - x) * math.log2(1 - x) < y, 39)
     return 0.5 * (lo + hi)
 
 

@@ -145,7 +145,8 @@ def _h_a_given_rest(p: np.ndarray, ndim: int) -> np.ndarray:
 
 def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
               recon: np.ndarray | None = None):
-    """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines them.
+    """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines
+    them but with Delta before the positive part, so a search can climb it.
 
     `v[..., :, :]` holds |A| x |V| and `u[..., :, :]` |V| x |U| channel rows,
     and `recon[..., :, :]` |V| x |B| reconstruction maps; their leading batch
@@ -170,7 +171,7 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     rate = np.maximum(0.0, _h_a_given_rest(p_ab, 2) - h_a_bv)
     i_ab_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_abu, 3))
     i_ae_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_aeu, 3))
-    delta = np.maximum(0.0, h_a_bv + i_ab_u - i_ae_u)
+    delta = h_a_bv + i_ab_u - i_ae_u
     return (np.broadcast_to(rate, delta.shape), np.broadcast_to(dist, delta.shape), delta,
             np.broadcast_to(recon, delta.shape + recon.shape[-2:]))
 
@@ -179,14 +180,14 @@ def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
     """The tightest (R, D, Delta) tuple certified by the scheme.
 
     R = I(V;A|B), D = E[d(A, Ahat(V,B))], and
-    Delta = [H(A|VB) + I(A;B|U) - I(A;E|U)]_+ with the positive part
-    applied at the end only.
+    Delta = [H(A|VB) + I(A;B|U) - I(A;E|U)]_+, the positive part applied
+    here to the `rde_batch` value.
     """
     scheme.check_fits(source)
     rate, dist, delta, _ = rde_batch(
         source.p_abe, source.distortion, scheme.v_channel.rows[None],
         scheme.u_channel.rows[None], scheme.reconstruction[None])
-    return RDETuple(float(rate[0]), float(dist[0]), float(delta[0]))
+    return RDETuple(float(rate[0]), float(dist[0]), max(0.0, float(delta[0])))
 
 
 def best_reconstruction(source: SecureSource, v_channel: ConditionalPmf) -> np.ndarray:
@@ -340,7 +341,8 @@ def _search(source: SecureSource, objective, feasible, config: SearchConfig,
             coarse: tuple, seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
     """Maximize `objective` over schemes subject to `feasible`.
 
-    Both map arrays (R, D, Delta) of a candidate batch to an array.
+    Both map arrays (R, D, Delta) of a candidate batch to an array, with
+    Delta before the positive part; the returned tuple's Delta is clamped.
     `coarse` is the evaluated grid from `_coarse_grid`, shared by every
     search of a sweep; only `seeds` and the refinement moves are evaluated
     here. Deterministic: candidates come in the order grid, seeds, moves,
@@ -381,12 +383,12 @@ def _search(source: SecureSource, objective, feasible, config: SearchConfig,
             if best[0] <= before + 1e-15:
                 break
         step /= 2.0
-    _, v_rows, u_rows, recon, tup = best
+    _, v_rows, u_rows, recon, (rate, dist, delta) = best
     v_alph = Alphabet(tuple(f"v{i}" for i in range(config.v_size)))
     u_alph = Alphabet(tuple(f"u{i}" for i in range(config.u_size)))
     v_channel = ConditionalPmf(source.a_alphabet, v_alph, v_rows)
     scheme = AuxScheme(v_channel, ConditionalPmf(v_alph, u_alph, u_rows), recon)
-    return scheme, RDETuple(*map(float, tup))
+    return scheme, RDETuple(float(rate), float(dist), max(0.0, float(delta)))
 
 
 def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],

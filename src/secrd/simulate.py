@@ -15,11 +15,11 @@ the equivocation computation needs. Decode success means the encoder's
 codeword indices were recovered. Blocklengths are capped so that |A|^n
 enumeration stays cheap.
 
-Trials are evaluated together, in chunks of bounded size. Each message's
-preimage (the source words that encode to it) is built with the codebook,
-and a trial's decode scores and Eve's posterior are read over its preimage
-only, each word's log-likelihood being the sum of a table over its first
-half and a table over its second half.
+Trials run in chunks of bounded size, and `Codebook.decode` and
+`exact_equivocation` each take a whole chunk. Each message's preimage (the
+source words that encode to it) is built with the codebook; a trial's decode
+scores and Eve's posterior are read over its preimage only, each word's
+log-likelihood the sum of tables over its first and its second half.
 
 Trial t draws its letters from child t of `SeedSequence(seed)`, as
 `spawn()` numbers the children: they are the numbers
@@ -184,25 +184,21 @@ class Codebook:
         self.n_bins = (n1, n2)
         self.encode_all()
 
-    def _word(self, seq, axis: int) -> np.ndarray:
-        """`seq` checked to be n letters of the alphabet of A, B or E (axis 0-2)."""
-        word, size = np.asarray(seq), self.source.p_abe.shape[axis]
-        if not (word.shape == (self.cfg.n,) and np.issubdtype(word.dtype, np.integer)
-                and ((word >= 0) & (word < size)).all()):
-            raise InvalidArgument(f"expected {self.cfg.n} letters in range({size}), "
-                                  f"got {seq!r}")
-        return word
+    def _check(self, msg_ids, seqs, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """K message ids in [0, N1 N2) and K rows of n letters of A, B or E (axis 0-2)."""
+        ids, seqs = np.asarray(msg_ids), np.asarray(seqs)
+        n, size = self.cfg.n, self.source.p_abe.shape[axis]
+        if not (seqs.ndim == 2 and seqs.shape[1] == n and np.issubdtype(seqs.dtype, np.integer)
+                and ((seqs >= 0) & (seqs < size)).all()):
+            raise InvalidArgument(f"expected rows of {n} letters in range({size}), "
+                                  f"got shape {seqs.shape} of {seqs.dtype}")
+        count = self.n_bins[0] * self.n_bins[1]
+        if not (ids.shape == seqs.shape[:1] and np.issubdtype(ids.dtype, np.integer)
+                and ((ids >= 0) & (ids < count)).all()):
+            raise InvalidArgument(f"expected {len(seqs)} message ids in range({count})")
+        return ids.astype(np.int64, copy=False), seqs
 
     # -- encoding ----------------------------------------------------------
-
-    def encode(self, a_seq: np.ndarray) -> tuple[tuple[int, int], bool]:
-        """Bin-index message of the codeword pair `encode_all` picked for one
-        source word (it maximizes the likelihood of (u, v, a)), and success:
-        whether that likelihood is nonzero."""
-        a = self._word(a_seq, 0)
-        idx = int(np.ravel_multi_index(tuple(a), (len(self.log_a),) * self.cfg.n))
-        r1, r2 = divmod(int(self._encode_map[idx]), self.n_bins[1])
-        return (r1, r2), bool(self._encode_ok[idx])
 
     def encode_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Encode every source word; `__post_init__` calls it once.
@@ -302,37 +298,24 @@ class Codebook:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode(self, message: tuple[int, int], b_seq: np.ndarray):
-        """Reconstruction from the bin pair and Bob's sequence.
+    def decode(self, msg_ids, b_seqs) -> np.ndarray:
+        """Codeword index s1 * M2 + s2 of each of K trials, from its message
+        id r1 * N2 + r2 and its row of Bob's letters, by exact MAP.
 
-        The bin pair is resolved by exact MAP: every codeword pair in the
-        bins is scored by the posterior mass of the source sequences that
-        encode to it, weighted by p(b | a). Returns (a_hat_seq, (s1, s2));
-        the caller judges success by comparing the indices with the
-        encoder's. A bin index outside (N1, N2), or a `b_seq` that is not n
-        letters of B, raises InvalidArgument.
-        """
-        r1, r2 = message
-        if not (0 <= r1 < self.n_bins[0] and 0 <= r2 < self.n_bins[1]):
-            raise InvalidArgument(f"message {message} outside the bins {self.n_bins}")
-        b = self._word(b_seq, 1)
-        (s1,), (s2,) = self._decode_batch(np.array([r1 * self.n_bins[1] + r2]), b[None])
-        return self.scheme.reconstruction[self.v_words[s1, s2], b], (int(s1), int(s2))
-
-    def _decode_batch(self, msg_ids: np.ndarray, b_seqs: np.ndarray):
-        """`decode` for K trials at once: the (s1, s2) arrays.
-
-        A pair's score is the mass of its source words, each weighted by
-        2^(log2 p(a) p(b | a) - the maximum over all |A|^n words). The
+        A pair in the bins scores the mass of its source words, each weighted
+        by 2^(log2 p(a) p(b | a) - the maximum over all |A|^n words). The
         lowest in-bin pair within SCORE_TOL of the best score wins, so a
         pair no preimage word maps to scores 0 and, when every score is
-        below SCORE_TOL, the winner is the lowest pair (r1, r2).
+        below SCORE_TOL, the winner is the lowest pair (r1, r2). Ids and
+        rows that fail `_check` raise InvalidArgument.
         """
+        msg_ids, b_seqs = self._check(msg_ids, b_seqs, 1)
         trial, _, words, scores, top = self._preimage_loglik(
             msg_ids, b_seqs, self.log_b_given_a)
         n1, n2 = self.n_bins
+        m2 = len(self.v_bins)
         slots, per_row = self._pair_slots()
-        s1, s2 = np.divmod(self._encode_idx[words], len(self.v_bins))
+        s1, s2 = np.divmod(self._encode_idx[words], m2)
         # bincount adds in word order, as a full-enumeration bincount does;
         # slot 0 is a real pair, so a slot past the codebook's edge (mass 0)
         # never comes first
@@ -343,30 +326,24 @@ class Codebook:
                          axis=1)
         r1, r2 = np.divmod(msg_ids, n2)
         j1, j2 = np.divmod(pick, per_row)
-        return r1 + j1 * n1, r2 + j2 * n2
-
-    def _equivocation_batch(self, msg_ids: np.ndarray,
-                            e_seqs: np.ndarray) -> np.ndarray:
-        """`exact_equivocation` for K trials at once; no preimage may be empty."""
-        trial, first, _, scores, _ = self._preimage_loglik(
-            msg_ids, e_seqs, self.log_e_given_a)
-        post = np.exp2(scores - np.maximum.reduceat(scores, first)[trial])
-        post /= np.add.reduceat(post, first)[trial]
-        plogp = post * np.log2(np.where(post > 0, post, 1.0))
-        # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
-        return (0.0 - np.add.reduceat(plogp, first)) / self.cfg.n
+        return (r1 + j1 * n1) * m2 + r2 + j2 * n2
 
 
-def exact_equivocation(codebook: Codebook, message_id: int,
-                       e_seq: np.ndarray) -> float:
-    """(1/n) H(A^n | W = message, E^n = e_seq), by full enumeration; e_seq
-    must be n letters of E."""
+def exact_equivocation(codebook: Codebook, msg_ids, e_seqs) -> np.ndarray:
+    """(1/n) H(A^n | W = message, E^n = e) of each of K trials, a (K,) array,
+    by enumerating the message's preimage. Ids and rows that fail
+    `Codebook._check`, or an id with an empty preimage, raise InvalidArgument."""
+    msg_ids, e_seqs = codebook._check(msg_ids, e_seqs, 2)
     start = codebook._preimage_start
-    if not (0 <= message_id < len(start) - 1
-            and start[message_id] < start[message_id + 1]):
+    if not (start[msg_ids] < start[msg_ids + 1]).all():
         raise InvalidArgument("message has an empty source preimage")
-    e = codebook._word(e_seq, 2)
-    return float(codebook._equivocation_batch(np.array([message_id]), e[None])[0])
+    trial, first, _, scores, _ = codebook._preimage_loglik(
+        msg_ids, e_seqs, codebook.log_e_given_a)
+    post = np.exp2(scores - np.maximum.reduceat(scores, first)[trial])
+    post /= np.add.reduceat(post, first)[trial]
+    plogp = post * np.log2(np.where(post > 0, post, 1.0))
+    # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
+    return (0.0 - np.add.reduceat(plogp, first)) / codebook.cfg.n
 
 
 _M32 = 0xFFFFFFFF
@@ -500,6 +477,7 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
 
     n = cfg.n
     pow_a = na ** np.arange(n - 1, -1, -1)
+    v_words = codebook.v_words.reshape(-1, n)  # row s1 * M2 + s2
     chunk = max(1, CHUNK_CELLS // codebook._trial_cells())
     records, columns = [], []
     for first in range(0, cfg.trials, chunk):
@@ -510,15 +488,15 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
         a_seqs = np.searchsorted(cdf_a, draws[:, :n], side="right")
         be = (cdf_be[a_seqs] <= draws[:, n:, None]).sum(axis=2)
         b_seqs, e_seqs = np.divmod(be, ne)
-        idx = (a_seqs * pow_a).sum(axis=1)
-        msg_ids = messages[idx]
-        s1, s2 = codebook._decode_batch(msg_ids, b_seqs)
-        a_hat = scheme.reconstruction[codebook.v_words[s1, s2], b_seqs]
+        word = (a_seqs * pow_a).sum(axis=1)
+        msg_ids = messages[word]
+        pair = codebook.decode(msg_ids, b_seqs)
+        a_hat = scheme.reconstruction[v_words[pair], b_seqs]
         dist = d[a_seqs, a_hat].mean(axis=1)
-        eq = codebook._equivocation_batch(msg_ids, e_seqs)
-        dec_ok = s1 * len(codebook.v_bins) + s2 == codebook._encode_idx[idx]
-        chunk_cols = (enc_ok[idx], dec_ok, dist, eq)
-        records.extend(map(TrialRecord, range(first, first + len(idx)),
+        eq = exact_equivocation(codebook, msg_ids, e_seqs)
+        dec_ok = pair == codebook._encode_idx[word]
+        chunk_cols = (enc_ok[word], dec_ok, dist, eq)
+        records.extend(map(TrialRecord, range(first, first + len(word)),
                            *(col.tolist() for col in chunk_cols)))
         columns.append(chunk_cols)
 

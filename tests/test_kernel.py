@@ -77,7 +77,8 @@ def _mass(joint, names):
 
 
 def _reference(source, v_rows, u_rows):
-    """(R, D, Delta) the pre-kernel way: one materialized JointPmf per scheme."""
+    """(R, D, Delta) the pre-kernel way: one materialized JointPmf per scheme,
+    with Delta before the positive part."""
     v_channel = ConditionalPmf(source.a_alphabet, _labels("v", v_rows.shape[1]), v_rows)
     u_channel = ConditionalPmf(v_channel.output, _labels("u", u_rows.shape[1]), u_rows)
     p_abv = _mass(joint_from(source.joint, [("V", v_channel, "A")]), ("A", "B", "V"))
@@ -93,7 +94,7 @@ def _reference(source, v_rows, u_rows):
     delta = (conditional_entropy(joint, ("A",), ("V", "B"))
              + mutual_information(joint, ("A",), ("B",), ("U",))
              - mutual_information(joint, ("A",), ("E",), ("U",)))
-    return (rate, dist, max(0.0, delta)), AuxScheme(v_channel, u_channel, recon)
+    return (rate, dist, delta), AuxScheme(v_channel, u_channel, recon)
 
 
 def test_batch_entropy_ignores_zero_mass():
@@ -115,7 +116,8 @@ def test_kernel_matches_jointpmf_path():
             want, scheme = _reference(source, v[k], u[k])
             got = (rate[k], dist[k], delta[k])
             assert got == pytest.approx(want, abs=1e-12)
-            assert tuple(evaluate_scheme(source, scheme)) == pytest.approx(want, abs=1e-12)
+            clamped = (*want[:2], max(0.0, want[2]))  # evaluate_scheme's [Delta]_+
+            assert tuple(evaluate_scheme(source, scheme)) == pytest.approx(clamped, abs=1e-12)
             # the kernel's map is optimal: it costs what the reference map costs
             kernel_scheme = AuxScheme(scheme.v_channel, scheme.u_channel, recon[k])
             assert evaluate_scheme(source, kernel_scheme).distortion == pytest.approx(

@@ -279,13 +279,14 @@ class TestBoundarySearch:
             assert tup.equivocation == pytest.approx(again.equivocation, abs=1e-9)
 
     def test_printed_rate_is_the_stored_schemes_rate(self):
-        # The minimal rate at D = 0.03 (0.552) is not the rate of the
-        # equivocation-maximizing scheme that is stored with the point (0.7).
+        # The printed tuple is the stored scheme's own, not the minimal rate
+        # found by the rate search. No coarse-grid scheme with D <= 0.03 has
+        # Delta > 0, so a search of [Delta]_+ was flat there and kept Delta = 0.
         src = build_source(BecBscParams(p=0.1, eps=0.7))
         cfg = SearchConfig(grid_resolution=3, refine_rounds=6, rate_budget=0.9)
         (_, tup, scheme), = sweep_boundary(src, [0.03], cfg).points
-        assert tup.rate == pytest.approx(0.7, abs=1e-9)
         assert tuple(tup) == pytest.approx(tuple(evaluate_scheme(src, scheme)), abs=1e-12)
+        assert tup.distortion <= 0.03 and tup.equivocation >= 0.1
 
     def test_infeasible_budget_dropped(self):
         src = build_source(PARAMS)

@@ -2,12 +2,14 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrd import simulate
 from secrd.binary import BITS, BecBscParams, BinaryScheme, aux_scheme, build_source
 from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, all_words,
                          bec, bsc, joint_from)
@@ -257,18 +259,6 @@ class TestCodebook:
         with pytest.raises(ResourceLimit, match="codebook of 32x32 codewords exceeds budget 256"):
             run_trials(src, aux, cfg)
 
-    def test_single_encode_matches_batch(self):
-        src, aux = canonical()
-        rates = achievability_rates(src, aux, slack=0.1)
-        cfg = SimConfig(n=6, rates=rates, trials=1, seed=3)
-        book = Codebook(src, aux, cfg)
-        (messages, ok), seqs = book.encode_all(), all_words(2, 6)
-        rng = np.random.default_rng(0)
-        for i in rng.choice(len(seqs), size=10, replace=False):
-            msg, good = book.encode(seqs[i])
-            assert msg[0] * book.n_bins[1] + msg[1] == messages[i]
-            assert good == ok[i]
-
     @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "noisy"])
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_encoder_matches_brute_force(self, case, n):
@@ -327,25 +317,89 @@ class TestCodebook:
             if (book._encode_idx[messages == msg] == r1 * m2 + r2).any():
                 continue  # the lowest in-bin pair must not hold preimage mass
             b = b_of_a[seqs[np.flatnonzero(messages != msg)[0]]]
-            a_hat, pair = book.decode((r1, r2), b)
-            assert pair == (r1, r2) == reference_decode(book, log_prior, (r1, r2), b)
-            np.testing.assert_array_equal(
-                a_hat, aux.reconstruction[book.v_words[r1, r2], b])
+            (pair,) = book.decode([msg], b[None])
+            assert divmod(int(pair), m2) == (r1, r2) == reference_decode(
+                book, log_prior, (r1, r2), b)
             checked += 1
         assert checked == 3
-        for outside in ((book.n_bins[0], 0), (0, -1)):
-            with pytest.raises(InvalidArgument):
-                book.decode(outside, b)
+
+
+class TestBatchCalls:
+    """`Codebook.decode` and `exact_equivocation` on batches of trials."""
+
+    @staticmethod
+    def trials(book, k, seed):
+        """k random trials with nonempty preimages: (message ids, b rows, e rows)."""
+        rng = np.random.default_rng(seed)
+        msg_ids = rng.choice(np.unique(book._encode_map), size=k)
+        na, nb, ne = book.source.p_abe.shape
+        return (msg_ids, rng.integers(nb, size=(k, book.cfg.n)),
+                rng.integers(ne, size=(k, book.cfg.n)))
+
+    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "p0", "skewed",
+                                      "ternary", "ternary-zero-a"])
+    def test_one_row_batch_matches_reference(self, case):
+        src, aux = case_source(case)
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=5, rates=rates, trials=1, seed=2))
+        log_prior = book.log_a[source_words(book)].sum(axis=1)
+        m2 = len(book.v_bins)
+        for msg, b, e in zip(*self.trials(book, 12, seed=len(case))):
+            (pair,) = book.decode([msg], b[None])
+            want = reference_decode(book, log_prior, divmod(int(msg), book.n_bins[1]), b)
+            assert divmod(int(pair), m2) == want
+            (eq,) = exact_equivocation(book, [msg], e[None])
+            assert eq == pytest.approx(
+                reference_equivocation(book, log_prior, msg, e), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["paper", "ternary"])
+    def test_k_rows_equal_k_one_row_calls(self, case):
+        src, aux = case_source(case)
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=3))
+        msg_ids, b_seqs, e_seqs = self.trials(book, 25, seed=1)
+        pairs = book.decode(msg_ids, b_seqs)
+        eqs = exact_equivocation(book, msg_ids, e_seqs)
+        assert pairs.shape == eqs.shape == (25,)
+        for k in range(25):
+            one = slice(k, k + 1)
+            assert _bits(book.decode(msg_ids[one], b_seqs[one])) == _bits(pairs[one])
+            assert _bits(exact_equivocation(book, msg_ids[one], e_seqs[one])) == _bits(eqs[one])
+
+    def test_run_trials_calls_each_kernel_once_per_chunk(self, monkeypatch):
+        # perfbench times the simulator's trials through these two names
+        src, aux = canonical()
+        rates = achievability_rates(src, aux, slack=0.1)
+        cfg = SimConfig(n=10, rates=rates, trials=1, seed=0)
+        chunk = CHUNK_CELLS // Codebook(src, aux, cfg)._trial_cells()
+        calls = []
+        decode, equivocation = Codebook.decode, simulate.exact_equivocation
+
+        def counting(name, kernel):
+            def call(*args):
+                calls.append((name, len(args[1])))
+                return kernel(*args)
+            return call
+
+        monkeypatch.setattr(Codebook, "decode", counting("decode", decode))
+        monkeypatch.setattr(simulate, "exact_equivocation",
+                            counting("equivocation", equivocation))
+        run_trials(src, aux, replace(cfg, trials=2 * chunk + 3))
+        sizes = [chunk, chunk, 3]
+        assert calls == [(name, k) for k in sizes for name in ("decode", "equivocation")]
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
 
 
 class TestWordChecks:
-    """encode, decode and exact_equivocation take n integer letters of A, B, E."""
+    """decode and exact_equivocation take K message ids and K rows of n
+    integer letters of B and E; each case here is a one-row batch."""
 
     CALLS = {
-        "encode": lambda book, word: book.encode(word),
-        "decode": lambda book, word: book.decode((0, 0), word),
-        "equivocation": lambda book, word: exact_equivocation(
-            book, int(book._encode_map[0]), word),
+        "decode": lambda book, ids, seqs: book.decode(ids, seqs),
+        "equivocation": lambda book, ids, seqs: exact_equivocation(book, ids, seqs),
     }
 
     @pytest.fixture(scope="class")
@@ -355,9 +409,6 @@ class TestWordChecks:
         return Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=4))
 
     @pytest.mark.parametrize("call, word", [
-        ("encode", [0, 1, 0, 0, 1]),
-        ("encode", [0, 1, 0, 0, 1, 2]),
-        ("encode", [0, 1, 0, 0, 1, -1]),
         ("decode", [0, 1, 2, 0, 1]),
         ("decode", [0, 1, 2, 0, 1, 3]),
         ("decode", [0, 1, 2, 0, 1, -1]),
@@ -367,20 +418,45 @@ class TestWordChecks:
         ("equivocation", [0, 1, 0, 0, 1, -1]),
         ("equivocation", [0, 1, 0, 0, 1, 2]),
         ("equivocation", [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]),
-    ], ids=["encode-short", "encode-letter-2", "encode-minus-one", "decode-short",
-            "decode-letter-3", "decode-minus-one", "decode-2d", "equivocation-short",
-            "equivocation-long", "equivocation-minus-one", "equivocation-letter-2",
-            "equivocation-floats"])
+    ], ids=["decode-short", "decode-letter-3", "decode-minus-one", "decode-2d",
+            "equivocation-short", "equivocation-long", "equivocation-minus-one",
+            "equivocation-letter-2", "equivocation-floats"])
     def test_bad_word_is_invalid_argument(self, book, call, word):
+        # "decode-2d" is a 2-D word, so its one-row batch is 3-D
         with pytest.raises(InvalidArgument, match="6 letters"):
-            self.CALLS[call](book, word)
+            self.CALLS[call](book, [book._encode_map[0]], [word])
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_dimensional_seqs_is_invalid_argument(self, book, call):
+        with pytest.raises(InvalidArgument, match="6 letters"):
+            self.CALLS[call](book, [book._encode_map[0]], [0, 1, 0, 0, 1, 1])
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_any_integer_dtype_is_a_word(self, book, call):
-        word = [0, 1, 1, 0, 0, 1]
-        got, want = (self.CALLS[call](book, w)
-                     for w in (np.array(word, dtype=np.uint8), word))
-        assert repr(got) == repr(want)  # decode's result holds an array
+        word, msg = [0, 1, 1, 0, 0, 1], book._encode_map[0]
+        got, want = (self.CALLS[call](book, ids, [w])
+                     for ids, w in (([np.uint8(msg)], np.array(word, dtype=np.uint8)),
+                                    ([int(msg)], word)))
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("ids", [[21], [-1], [0.0], [0, 0]],
+                             ids=["past-bins", "minus-one", "float", "two-ids"])
+    def test_bad_message_ids_are_invalid_argument(self, book, call, ids):
+        # N1 N2 = 7 x 3 = 21; "two-ids" gives two ids for one row
+        assert book.n_bins == (7, 3)
+        with pytest.raises(InvalidArgument, match="message ids"):
+            self.CALLS[call](book, ids, [[0, 1, 1, 0, 0, 1]])
+
+    def test_decode_accepts_every_id_in_the_bins(self, book):
+        # ids with an empty preimage decode to their lowest in-bin pair
+        n1, n2 = book.n_bins
+        ids = np.arange(n1 * n2)
+        pairs = book.decode(ids, np.zeros((n1 * n2, 6), dtype=int))
+        empty = np.diff(book._preimage_start) == 0
+        assert empty.any()
+        r1, r2 = np.divmod(ids[empty], n2)
+        np.testing.assert_array_equal(pairs[empty], r1 * len(book.v_bins) + r2)
 
 
 class TestEquivocation:
@@ -390,10 +466,10 @@ class TestEquivocation:
         cfg = SimConfig(n=6, rates=rates, trials=1, seed=4)
         book = Codebook(src, aux, cfg)
         messages, _ = book.encode_all()
-        e_seq = np.array([0, 1, 0, 0, 1, 0])
-        val = exact_equivocation(book, int(messages[5]), e_seq)
-        assert 0.0 <= val <= 1.0
-        assert val == exact_equivocation(book, int(messages[5]), e_seq)
+        e_seqs = np.array([[0, 1, 0, 0, 1, 0]])
+        val = exact_equivocation(book, messages[5:6], e_seqs)
+        assert val.shape == (1,) and 0.0 <= val[0] <= 1.0
+        assert _bits(val) == _bits(exact_equivocation(book, messages[5:6], e_seqs))
 
     @pytest.mark.parametrize("p, p_a0", [(PARAMS.p, 0.5), (0.0, 0.5), (PARAMS.p, 0.8)])
     def test_matches_direct_posterior(self, p, p_a0):
@@ -409,14 +485,16 @@ class TestEquivocation:
         book = Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=4))
         (messages, _), seqs = book.encode_all(), all_words(2, 6)
         p_ae = src.joint.marginal(("A", "E")).mass
-        for msg in np.unique(messages)[:8]:
+        msg_ids = np.unique(messages)[:8]
+        # E alphabet = A alphabet, so a preimage's last word is a possible e
+        e_seqs = np.array([seqs[messages == msg][-1] for msg in msg_ids])
+        got = exact_equivocation(book, msg_ids, e_seqs)
+        for msg, e_seq, val in zip(msg_ids, e_seqs, got):
             sub = seqs[messages == msg]
-            e_seq = sub[-1]  # E alphabet = A alphabet, and this e is possible
             w = p_ae[sub, e_seq].prod(axis=1)
             post = w[w > 0] / w.sum()
             want = float(-(post * np.log2(post)).sum()) / 6
-            got = exact_equivocation(book, int(msg), e_seq)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert val == pytest.approx(want, abs=1e-12)
 
     def test_unused_message_rejected(self):
         src, aux = canonical()
@@ -424,9 +502,10 @@ class TestEquivocation:
         cfg = SimConfig(n=6, rates=rates, trials=1, seed=4)
         book = Codebook(src, aux, cfg)
         messages, _ = book.encode_all()
-        unused = int(messages.max()) + 1
-        with pytest.raises(InvalidArgument):
-            exact_equivocation(book, unused, np.zeros(6, dtype=int))
+        unused = int(messages.max()) + 1  # in the bins, with an empty preimage
+        assert unused < book.n_bins[0] * book.n_bins[1]
+        with pytest.raises(InvalidArgument, match="empty source preimage"):
+            exact_equivocation(book, [messages[0], unused], np.zeros((2, 6), dtype=int))
 
 
 class TestTrials:
