@@ -120,8 +120,6 @@ def _grid(stop: float, num: int) -> np.ndarray:
 def cmd_sweep(args) -> int:
     if not 0.0 <= args.d_max < np.inf:
         raise InvalidArgument(f"--d-max must be finite and >= 0, got {args.d_max}")
-    if args.rate_budget is not None and not args.rate_budget >= 0.0:
-        raise InvalidArgument(f"--rate-budget must be >= 0, got {args.rate_budget}")
     params = ordering.BecBscParams(args.p, args.eps)
     source = binary_mod.build_source(params)
     grid = _grid(args.d_max, args.grid)

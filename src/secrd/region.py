@@ -247,11 +247,14 @@ class SearchConfig:
     refine_rounds: int = 14        # step halves once per round
     rate_budget: float | None = None
 
+    def __post_init__(self):
+        if self.rate_budget is not None and not self.rate_budget >= 0.0:
+            raise InvalidArgument(f"rate budget must be >= 0, got {self.rate_budget}")
+
 
 @dataclass
 class BoundaryCurve:
     points: list[tuple[float, RDETuple, AuxScheme]]  # (D budget, tuple, scheme)
-    config: SearchConfig
 
     def to_csv(self) -> str:
         return csv_text(["D", "R", "Delta", "scheme_id"],
@@ -319,45 +322,29 @@ def _coarse_grid(source: SecureSource, config: SearchConfig) -> tuple:
             dist.ravel(), delta.ravel(), recon.reshape(m * n, *recon.shape[2:]))
 
 
-def _tie_pick(scores: np.ndarray, best: float | None) -> int | None:
-    """Index of the score that ends as the best, or None if `best` stands.
+def _search(source: SecureSource, score, config: SearchConfig, coarse: tuple,
+            seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
+    """Maximize `score` over schemes; None if no candidate is feasible.
 
-    Scanning in order, a score replaces the best so far when it exceeds it
-    by more than 1e-15. The best so far is never below an earlier score by
-    more than that margin, so a replacing score beats every earlier one:
-    only the running-maximum records (NaN aside) need the scan.
-    """
-    record = scores > np.fmax.accumulate(np.concatenate(([-np.inf], scores[:-1])))
-    record[:1] = True
-    records = np.flatnonzero(record)
-    pick = None
-    for i, score in zip(records.tolist(), scores[records].tolist()):
-        if best is None or score > best + 1e-15:
-            best, pick = score, i
-    return pick
-
-
-def _search(source: SecureSource, objective, feasible, config: SearchConfig,
-            coarse: tuple, seeds: Sequence[AuxScheme] = ()) -> tuple[AuxScheme, RDETuple] | None:
-    """Maximize `objective` over schemes subject to `feasible`.
-
-    Both map arrays (R, D, Delta) of a candidate batch to an array, with
-    Delta before the positive part; the returned tuple's Delta is clamped.
-    `coarse` is the evaluated grid from `_coarse_grid`, shared by every
-    search of a sweep; only `seeds` and the refinement moves are evaluated
-    here. Deterministic: candidates come in the order grid, seeds, moves,
-    and ties resolve by candidate order.
+    `score` maps arrays (R, D, Delta) of a candidate batch, Delta before the
+    positive part, to the objective, -inf where a candidate is infeasible;
+    the returned tuple's Delta is clamped. `coarse` is the evaluated grid
+    from `_coarse_grid`, shared by every search of a sweep; only `seeds` and
+    the refinement moves are evaluated here. Batches come in the order grid,
+    seeds, moves. A batch's first maximum replaces the best when it is
+    feasible and either nothing is kept yet or it beats the best by more
+    than 1e-15, so the search is deterministic.
     """
     best = None  # (score, v rows, u rows, reconstruction, (R, D, Delta))
 
     def consider(v, u, rate, dist, delta, recon):
         nonlocal best
-        ok = np.flatnonzero(feasible(rate, dist, delta))
-        scores = objective(rate, dist, delta)[ok]
-        pick = _tie_pick(scores, None if best is None else best[0])
-        if pick is not None:
-            i = ok[pick]
-            best = (float(scores[pick]), v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
+        scores = score(rate, dist, delta)
+        if not scores.size:  # no moves when |V| = 1 or |U| = 1
+            return
+        i = int(np.argmax(scores))
+        if scores[i] > -np.inf and (best is None or scores[i] > best[0] + 1e-15):
+            best = (float(scores[i]), v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
 
     def evaluate(v, u):
         v, u = _normalized(v), _normalized(u)
@@ -395,16 +382,17 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
                    config: SearchConfig = SearchConfig()) -> BoundaryCurve:
     """Best found (R, Delta) per distortion budget; certified inner bound.
 
-    For each D on the grid the minimal rate is searched first; the
-    equivocation is then maximized subject to E[d] <= D and, when a rate
-    budget is configured, R <= budget. Schemes found at smaller budgets
-    seed larger ones, which keeps Delta nondecreasing along the curve. The
-    coarse grid depends on neither the budget nor the objective, so it is
-    evaluated once per call and shared by all 2 x len(grid) searches.
+    Budgets run in increasing order; a NaN budget is an error. For each D
+    the minimal rate is searched first (score -R, -inf where E[d] > D); the
+    equivocation is then maximized (score Delta, -inf where E[d] > D or, when
+    a rate budget is configured, R > budget). Schemes found at smaller
+    budgets seed larger ones, which keeps Delta nondecreasing along the
+    curve. The coarse grid depends on neither the budget nor the score, so
+    it is evaluated once per call and shared by all 2 x len(grid) searches.
     """
     grid = sorted(distortion_grid)
-    if not grid:
-        raise InvalidArgument("distortion grid must be nonempty")
+    if not grid or np.isnan(grid).any():
+        raise InvalidArgument("distortion grid must be nonempty, with no NaN budget")
     u_cap, v_cap = cardinality_caps(source)
     if config.u_size > u_cap or config.v_size > v_cap:
         raise InvalidArgument("search config exceeds cardinality caps")
@@ -413,27 +401,19 @@ def sweep_boundary(source: SecureSource, distortion_grid: Sequence[float],
     seeds: list[AuxScheme] = []
     budget = config.rate_budget if config.rate_budget is not None else np.inf
     for d_budget in grid:
-        rate_found = _search(
-            source,
-            objective=lambda r, dist, eq: -r,
-            feasible=lambda r, dist, eq: dist <= d_budget + 1e-12,
-            config=config,
-            coarse=coarse,
-            seeds=seeds,
-        )
+        def min_rate(r, dist, eq):
+            return np.where(dist <= d_budget + 1e-12, -r, -np.inf)
+
+        def max_delta(r, dist, eq):
+            return np.where((dist <= d_budget + 1e-12) & (r <= budget + 1e-9), eq, -np.inf)
+
+        rate_found = _search(source, min_rate, config, coarse, seeds)
         if rate_found is None:
             continue
-        delta_found = _search(
-            source,
-            objective=lambda r, dist, eq: eq,
-            feasible=lambda r, dist, eq: (dist <= d_budget + 1e-12) & (r <= budget + 1e-9),
-            config=config,
-            coarse=coarse,
-            seeds=seeds + [rate_found[0]],
-        )
+        delta_found = _search(source, max_delta, config, coarse, seeds + [rate_found[0]])
         if delta_found is None:
             continue
         scheme, tup = delta_found
         points.append((d_budget, tup, scheme))
         seeds = [scheme, rate_found[0]]
-    return BoundaryCurve(points, config)
+    return BoundaryCurve(points)

@@ -382,7 +382,9 @@ class TestSweep:
         ([], "sweep_defaults.csv"),
         (["--p", "0.1", "--eps", "0.469", "--grid", "8", "--d-max", "0.2",
           "--rate-budget", "0.376"], "sweep_p0.1_eps0.469_budget0.376.csv"),
-    ], ids=["defaults", "readme"])
+        (["--p", "0.1", "--eps", "0.7", "--rate-budget", "0.5"],
+         "sweep_p0.1_eps0.7_budget0.5.csv"),
+    ], ids=["defaults", "readme", "budget-before-clamp"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as the search printed them when it evaluated the coarse grid per search
         assert main(["sweep", *argv]) == EXIT_OK

@@ -5,8 +5,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from secrd import region
 from secrd.binary import BecBscParams, BinaryScheme, aux_scheme, build_source
@@ -26,7 +24,6 @@ from secrd.region import (
     best_reconstruction,
     evaluate_scheme,
     lossless_region_point,
-    _tie_pick,
     materialize,
     rde_batch,
     sweep_boundary,
@@ -166,34 +163,6 @@ def test_sweep_evaluates_the_coarse_grid_once(monkeypatch):
     grid = 49 * 49  # resolution 6: 7 rows per binary channel row, two rows each
     assert sizes[0] == grid and sizes.count(grid) == 1
     assert max(sizes[1:]) <= 8  # seeds and neighbor moves only
-
-
-def _sequential_pick(scores, best):
-    """The tie rule as a plain scan over every candidate."""
-    pick = None
-    for i, score in enumerate(scores.tolist()):
-        if best is None or score > best + 1e-15:
-            best, pick = score, i
-    return pick
-
-
-@st.composite
-def tied_scores(draw):
-    """Scores a few units apart, from exact ties through ulps to just over 1e-15."""
-    base = draw(st.sampled_from([0.0, 1e-300, 0.1, 0.469, 1.0, -0.3, 7.5]))
-    unit = draw(st.sampled_from([float(np.spacing(base)), 1e-16, 2.5e-16, 5e-16,
-                                 1e-15, 1.5e-15, 0.0]))
-    steps = st.integers(-6, 6).map(lambda k: base + k * unit)
-    scores = draw(st.lists(steps | st.just(float("nan")), max_size=40))
-    best = draw(st.none() | steps)
-    return np.array(scores, dtype=float), best
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(tied_scores())
-def test_tie_pick_matches_sequential_scan(case):
-    scores, best = case
-    assert _tie_pick(scores, best) == _sequential_pick(scores, best)
 
 
 def _violation(source, rows):

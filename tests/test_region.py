@@ -28,6 +28,7 @@ from secrd.region import (
     lossless_region_point,
     materialize,
     sweep_boundary,
+    _search,
 )
 from secrd.simulate import SimConfig, achievability_rates, run_trials
 
@@ -298,6 +299,43 @@ class TestBoundarySearch:
     def test_empty_distortion_grid_is_rejected(self):
         with pytest.raises(InvalidArgument, match="nonempty"):
             sweep_boundary(build_source(PARAMS), [])
+
+    def test_nan_budget_is_rejected(self):
+        # sorted() left [0.2, nan, 0.1] unsorted, and the NaN budget vanished
+        with pytest.raises(InvalidArgument, match="NaN"):
+            sweep_boundary(build_source(PARAMS), [0.2, float("nan"), 0.1])
+
+    @pytest.mark.parametrize("budget", [float("nan"), -0.5])
+    def test_bad_rate_budget_is_rejected(self, budget):
+        # both once returned an empty curve
+        with pytest.raises(InvalidArgument, match="rate budget"):
+            SearchConfig(rate_budget=budget)
+
+    def test_search_keeps_a_batchs_first_maximum_by_more_than_1e_15(self):
+        src = build_source(PARAMS)
+        cfg = SearchConfig(refine_rounds=0)
+        k = 4
+        v = np.array([[[1 - x, x], [x, 1 - x]] for x in np.linspace(0.0, 0.3, k)])
+        coarse = (v, np.broadcast_to(np.eye(2), (k, 2, 2)), np.zeros(k), np.zeros(k),
+                  np.zeros(k), np.zeros((k, 2, 3), dtype=int))
+        seed = AuxScheme(bsc(0.4), bsc(0.2), np.zeros((2, 3), dtype=int))
+
+        def run(*batches, seeds=()):
+            scores = iter(np.array(b, dtype=float) for b in batches)
+            return _search(src, lambda r, d, eq: next(scores), cfg, coarse, seeds)
+
+        def row(found):
+            return next(i for i in range(k)
+                        if np.array_equal(found[0].v_channel.rows, v[i]))
+
+        inf = np.inf
+        assert row(run([0.1, 0.5, 0.5, 0.2])) == 1  # an exact tie keeps the first
+        assert row(run([-inf, -0.7, -inf, -0.9])) == 1  # -inf rows never win
+        assert row(run([0.5, 0.3, 0.1, 0.2], [0.5 + 5e-16], seeds=[seed])) == 0
+        found = run([0.5, 0.3, 0.1, 0.2], [0.5 + 2e-15], seeds=[seed])
+        assert np.array_equal(found[0].v_channel.rows, seed.v_channel.rows)
+        assert run([-inf] * k) is None
+        assert run([-inf] * k, [-inf], seeds=[seed]) is None
 
     def test_config_beyond_the_caps_is_rejected(self):
         src = build_source(PARAMS)  # caps |U| <= 4, |V| <= 12
