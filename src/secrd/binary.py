@@ -166,6 +166,22 @@ def sweep_curve(params: BecBscParams, d_grid) -> list[CurvePoint]:
             zip(*(x.tolist() for x in (ds, dgen, dwz, alphas, beta_opt)))]
 
 
+def delta_star(params: BecBscParams, d_budget: float,
+               rate_budget: float = math.inf) -> float | None:
+    """Delta*(d, r): the best equivocation of a binary-symmetric scheme with
+    D <= d and R <= r, or None when none has both.
+
+    D = eps alpha and `delta_general` do not fall as alpha grows, and
+    R = eps (1 - h2(alpha)) does, so the best scheme takes the largest alpha
+    the distortion budget allows, min(d, eps/2) / eps: `sweep_curve`'s
+    delta_general there, if that alpha's rate is at most r + 1e-9.
+    """
+    point = sweep_curve(params, [min(d_budget, params.eps / 2.0)])[0]
+    if params.eps * (1.0 - binary_entropy(point.alpha)) > rate_budget + 1e-9:
+        return None
+    return point.delta_general
+
+
 def curve_csv(points: list[CurvePoint]) -> str:
     return csv_text(["D", "delta_general", "delta_wz", "alpha", "beta_opt"],
                     ([pt.D, pt.delta_general, pt.delta_wz, pt.alpha, pt.beta_opt]

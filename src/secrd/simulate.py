@@ -8,12 +8,18 @@ computed exactly by enumerating every source sequence consistent with
 the transmitted message.
 
 The encoder picks the jointly most likely codeword pair (maximum
-likelihood), and the decoder is exact MAP over codeword pairs in the
-transmitted bins: each pair is scored by the posterior mass of the
-source sequences that encode to it, reusing the same enumeration that
-the equivocation computation needs. Decode success means the encoder's
-codeword indices were recovered. Blocklengths are capped so that |A|^n
-enumeration stays cheap.
+likelihood; of the pairs within SCORE_TOL of the best, the lowest index),
+and the decoder is exact MAP over codeword pairs in the transmitted bins:
+each pair is scored by the posterior mass of the source sequences that
+encode to it, reusing the same enumeration that the equivocation
+computation needs. Decode success means the encoder's codeword indices were
+recovered. Blocklengths are capped so that |A|^n enumeration stays cheap.
+
+The auxiliaries form the chain U - V - A, so log p(a, v, u) = log p(u, v) +
+log p(a | v): a codeword's score on a source word is a weight of the
+codeword plus two tables over the halves of its v-word and of the source
+word. The encoder takes every word's best score in two (max, +) passes over
+those half-word tables rather than scoring each u-word's v-words in turn.
 
 Trials run in chunks of bounded size, and `Codebook.decode` and
 `exact_equivocation` each take a whole chunk. Each message's preimage (the
@@ -34,11 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import InvalidArgument, ResourceLimit, all_words, batch_entropy, csv_text
+from .probs import InvalidArgument, ResourceLimit, batch_entropy, csv_text
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
 CHUNK_CELLS = 1 << 14  # cap on the cells of one chunk of trials' arrays
+ENCODE_CELLS = 1 << 16  # cap on the cells of one block of encoder scores
 
 
 @dataclass(frozen=True)
@@ -123,22 +130,42 @@ def _safe_log2(p: np.ndarray) -> np.ndarray:
     return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), _LOG_FLOOR)
 
 
-def _onehot_words(size: int, n: int) -> np.ndarray:
-    """(n*size, size**n) matrix: column t is the one-hot of the t-th word."""
-    return np.eye(size)[all_words(size, n)].reshape(size ** n, n * size).T
-
-
 def _word_sums(table: np.ndarray) -> np.ndarray:
     """(K, m, A) per-letter tables -> (K, A**m) sums over every m-letter word.
 
     Words are in lexicographic order and each sum adds its letters first to
-    last, so a row does not depend on K. A matmul against `_onehot_words`
-    would not do: BLAS orders its sums differently for different row counts.
+    last, so a row does not depend on K. A one-hot matmul would not do:
+    BLAS orders its sums differently for different row counts.
     """
     sums = np.zeros((len(table), 1))
     for letter in table.transpose(1, 0, 2):
         sums = (sums[:, :, None] + letter[:, None, :]).reshape(len(table), -1)
     return sums
+
+
+def _row_groups(rows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, ids) for a (K, m) array of letters in range(size): row k is
+    the group ids[k], and rows[first[g]] is group g's row."""
+    ids, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for letter in rows.T:
+        if bound * size > 1 << 62:  # renumber before the ids could overflow
+            _, ids = np.unique(ids, return_inverse=True)
+            bound = int(ids.max()) + 1
+        ids, bound = ids * size + letter, bound * size
+    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+    return first, ids
+
+
+def _blocks(sizes: np.ndarray, cap: int):
+    """Consecutive [lo, hi) ranges of items whose sizes add to at most `cap`,
+    or to one item's size where that alone exceeds it."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 @dataclass
@@ -159,7 +186,11 @@ class Codebook:
         p_vu = p_avu.sum(axis=0)
         p_u = p_vu.sum(axis=0)
         p_v_given_u = (p_vu / np.where(p_u > 0, p_u, 1.0)).T
-        self.log_uva = _safe_log2(p_avu.transpose(2, 1, 0))
+        p_v = p_vu.sum(axis=1)
+        # log p(a, v, u) = log p(u, v) + log p(a | v), by the chain U - V - A
+        self.log_uv = _safe_log2(p_vu.T)
+        self.log_a_given_v = _safe_log2((p_avu.sum(axis=2)
+                                         / np.where(p_v > 0, p_v, 1.0)).T)
         p_abe = self.source.p_abe
         p_a = p_abe.sum(axis=(1, 2))
         self.log_a = _safe_log2(p_a)
@@ -177,6 +208,7 @@ class Codebook:
         rng = np.random.default_rng(cfg.seed)
         self.u_words = rng.choice(len(p_u), size=(m1, cfg.n), p=p_u)  # (M1, n)
         cum = p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
+        cum /= cum[..., -1:]  # a draw below 1 is then below the last entry
         draws = rng.random((m1, m2, cfg.n))
         self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)  # (M1, M2, n)
         self.u_bins = np.arange(m1) % n1
@@ -208,45 +240,108 @@ class Codebook:
         flag. Also stores each word's codeword index s1 * M2 + s2 and the
         preimage of every message.
 
-        Each word gets the codeword pair maximizing
-        sum_i log p(u_i, v_i, a_i). The u-words are visited in index order:
-        a u-word's best score is the top over its v-words, reached first
-        (within SCORE_TOL) at the lowest v index, and it replaces the best
-        so far only if it beats it by more than SCORE_TOL. SCORE_TOL also
-        absorbs summation-order noise.
+        Codeword c = (u-word, v-word) scores sum_i log p(u_i, v_i, a_i) on
+        word a, and each word gets the lowest codeword index whose score is
+        within SCORE_TOL of the word's best. SCORE_TOL absorbs
+        summation-order noise; the rule does not depend on the order in
+        which codewords are visited.
+
+        By the chain U - V - A the score is w(c) + GL[v-left, a-left] +
+        GR[v-right, a-right]: w(c) sums log p(u_i, v_i), and GL and GR sum
+        log p(a_i | v_i) over the first h and the last n - h letters, one row
+        per distinct half of the v-words. Pass 1 takes, per v-left group g,
+        N[g, a-right] = the max over g's codewords of w(c) + GR, and then
+        every word's best, M = max over g of GL[g] + N[g]. Pass 2 reads the
+        codewords of only the (group, word) pairs with GL + N within
+        SCORE_TOL of M, and of those only the ones where a running maximum
+        of w(c) + GR over the group in index order rises.
         """
         na, n = len(self.log_a), self.cfg.n
-        # Meet in the middle: in lexicographic order, the score of sequence
-        # t = tl * |A|^(n-h) + tr is left[tl] + right[tr], a sum over its
-        # first h and its last n - h letters.
-        h = n // 2
-        left_oh, right_oh = _onehot_words(na, h), _onehot_words(na, n - h)
-        n_right = right_oh.shape[1]
         m2 = len(self.v_bins)
-        pos = np.arange(n)
-        best = np.full(na ** n, -np.inf)
-        best_s1 = np.zeros(na ** n, dtype=np.int64)
-        best_s2 = np.zeros_like(best_s1)
-        for s1, u in enumerate(self.u_words):
-            lv = self.log_uva[u][pos, self.v_words[s1]]       # (M2, n, A)
-            left = lv[:, :h].reshape(m2, -1) @ left_oh        # (M2, A^h)
-            right = lv[:, h:].reshape(m2, -1) @ right_oh      # (M2, A^(n-h))
-            # max left + max right bounds every v-word's score, so only the
-            # sequences where that bound beats the best so far can gain.
-            bound = np.add.outer(left.max(axis=0), right.max(axis=0)).ravel()
-            thresh = best + SCORE_TOL
-            cand = np.flatnonzero(bound > thresh)
-            scores = left[:, cand // n_right] + right[:, cand % n_right]
-            top = scores.max(axis=0)
-            gain = top > thresh[cand]
-            hit, top = cand[gain], top[gain]
-            best[hit] = top
-            best_s1[hit] = s1
-            best_s2[hit] = np.argmax(scores[:, gain] >= top - SCORE_TOL, axis=0)
+        v_words = self.v_words.reshape(-1, n)  # row c = s1 * M2 + s2
+        count = len(v_words)
+        w = self.log_uv[self.u_words[:, None], self.v_words].sum(axis=2).ravel()
+        # In lexicographic order word t = tl * |A|^(n-h) + tr has first half
+        # tl and last half tr.
+        h = n // 2
+        n_v = len(self.log_a_given_v)
+        left_first, left_id = _row_groups(v_words[:, :h], n_v)
+        right_first, right_id = _row_groups(v_words[:, h:], n_v)
+        gl = _word_sums(self.log_a_given_v[v_words[left_first, :h]])   # (G, A^h)
+        gr = _word_sums(self.log_a_given_v[v_words[right_first, h:]])  # (H, A^(n-h))
+        n_groups, n_left, n_right = len(left_first), gl.shape[1], gr.shape[1]
+        # groups by falling size, so those with more than j codewords come
+        # first; codewords by group, in index order within each group
+        group_size = np.bincount(left_id, minlength=n_groups)
+        by_size = np.argsort(-group_size, kind="stable")
+        gl, group_size = gl[by_size], group_size[by_size]
+        left_id = np.argsort(by_size)[left_id]
+        order = np.argsort(left_id, kind="stable")
+        group_start = np.concatenate(([0], np.cumsum(group_size)))
+
+        # Pass 1. Per group g and last half tr, the running maximum of
+        # w(c) + GR[v-right(c), tr] over g's codewords in index order ends at
+        # part_max[g, tr] = N[g, tr]. The lowest codeword at or above any
+        # threshold is one where the running maximum rises, so only those
+        # (the records) are kept, grouped by (g, tr).
+        part_max = np.empty((n_groups, n_right))
+        rises, steps = [], []
+        for lo, hi in _blocks(np.full(n_groups, n_right), ENCODE_CELLS):
+            run = part_max[lo:hi]
+            run.fill(-np.inf)
+            # step j reads codeword j of each of the first k groups, those
+            # with more than j codewords
+            active = np.searchsorted(-group_size[lo:hi], -np.arange(group_size[lo]))
+            for j, k in enumerate(active):
+                cw = order[group_start[lo:lo + k] + j]
+                part = w[cw, None] + gr[right_id[cw]]
+                rises.append(lo * n_right + np.flatnonzero(part > run[:k]))
+                steps.append(j)
+                np.maximum(run[:k], part, out=run[:k])
+        # record r is codeword rec_cw[r] at (g, tr) = divmod(key, |A|^(n-h))
+        rec_key = np.concatenate(rises)
+        rec_step = np.repeat(steps, [len(rise) for rise in rises])
+        del rises
+        by_key = np.argsort(rec_key)
+        rec_key = rec_key[by_key]
+        rec_cw = order[group_start[rec_key // n_right] + rec_step[by_key]]
+        rec_val = w[rec_cw] + gr[right_id[rec_cw], rec_key % n_right]
+        rec_start = np.concatenate(([0], np.cumsum(np.bincount(
+            rec_key, minlength=n_groups * n_right))))
+        best = np.full((n_left, n_right), -np.inf)
+        group_blocks = list(_blocks(np.full(n_groups, na ** n), ENCODE_CELLS))
+        for lo, hi in group_blocks:
+            np.maximum(best, (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).max(axis=0),
+                       out=best)
+        best = best.ravel()
+
+        # Pass 2. Each word's lowest codeword within SCORE_TOL of M, read off
+        # the records of the (group, word) pairs whose bound GL + N gets there.
+        thresh = best - SCORE_TOL
+        best_idx = np.full(na ** n, count)
+        for lo, hi in group_blocks:
+            g, word = np.divmod(np.flatnonzero(
+                (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).reshape(hi - lo, -1)
+                >= thresh), na ** n)
+            g += lo
+            key = g * n_right + word % n_right
+            base, limit = gl[g, word // n_right], thresh[word]
+            for plo, phi in _blocks(rec_start[key + 1] - rec_start[key], ENCODE_CELLS):
+                first = rec_start[key[plo:phi]]
+                sizes = rec_start[key[plo:phi] + 1] - first
+                ends = np.cumsum(sizes)
+                rec = np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)
+                # the group's lowest codeword at the limit is a record, so
+                # it is the lowest record there
+                hit = (np.repeat(base[plo:phi], sizes) + rec_val[rec]
+                       >= np.repeat(limit[plo:phi], sizes))
+                np.minimum.at(best_idx, word[plo:phi], np.minimum.reduceat(
+                    np.where(hit, rec_cw[rec], count), ends - sizes))
+        best_s1, best_s2 = np.divmod(best_idx, m2)
         self._encode_map = (self.u_bins[best_s1] * self.n_bins[1]
                             + self.v_bins[best_s2])
         self._encode_ok = best > _LOG_FLOOR / 2
-        self._encode_idx = best_s1 * m2 + best_s2
+        self._encode_idx = best_idx
         # the words that encode to message m, in word order (the sort is
         # stable), are _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
         self._preimage_words = np.argsort(self._encode_map, kind="stable")

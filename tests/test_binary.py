@@ -18,6 +18,7 @@ from secrd.binary import (
     closed_form,
     closed_form_batch,
     curve_csv,
+    delta_star,
     oracle_check,
     sweep_curve,
     benchmark_table,
@@ -265,6 +266,37 @@ class TestCurve:
         lines = curve_csv(pts).splitlines()
         assert lines[0] == "D,delta_general,delta_wz,alpha,beta_opt"
         assert len(lines) == 3
+
+
+class TestDeltaStar:
+    @pytest.mark.parametrize("p,eps", EDGE_PAIRS + RANDOM_PAIRS[:4])
+    def test_is_the_curve_at_the_distortion_budget(self, p, eps):
+        params = BecBscParams(p, eps)
+        for pt in sweep_curve(params, np.linspace(0.0, eps / 2.0, 9)):
+            assert delta_star(params, pt.D) == pt.delta_general
+            assert delta_star(params, pt.D, eps * (1.0 - binary_entropy(pt.alpha))) \
+                == pt.delta_general
+        # a budget past eps/2 buys nothing more
+        assert delta_star(params, 1.0) == delta_star(params, eps / 2.0)
+
+    @pytest.mark.parametrize("p,eps", EDGE_PAIRS + RANDOM_PAIRS[:4])
+    def test_rate_edges(self, p, eps):
+        params = BecBscParams(p, eps)
+        # d = 0: alpha = 0 needs the lossless rate eps
+        assert delta_star(params, 0.0, eps) == sweep_curve(params, [0.0])[0].delta_general
+        assert delta_star(params, 0.0, eps - 1e-6) is None
+        # d = eps/2: alpha = 1/2 needs no rate, and Delta is H(A|E) = h2(p)
+        assert delta_star(params, eps / 2.0, 0.0) == pytest.approx(binary_entropy(p),
+                                                                   abs=1e-12)
+        # r just below the rate of alpha = d/eps
+        d = eps / 8.0
+        rate = eps * (1.0 - binary_entropy(0.125))
+        assert delta_star(params, d, rate - 1e-6) is None
+        assert delta_star(params, d, rate) == sweep_curve(params, [d])[0].delta_general
+
+    def test_rejects_a_source_without_erasures(self):
+        with pytest.raises(InvalidArgument):
+            delta_star(BecBscParams(0.1, 0.0), 0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -259,5 +259,9 @@ def test_codebook_matches_jointpmf_construction(n, seed):
     messages, ok = book.encode_all()
     got = (_digest(book.u_words, book.v_words), _digest(messages, ok, book._encode_idx))
     assert got == CODEBOOK_DIGESTS[n, seed]
-    p_uva = np.transpose(materialize(source, scheme).marginal(("A", "V", "U")).mass)
-    np.testing.assert_allclose(np.exp2(book.log_uva), p_uva, rtol=0, atol=1e-15)
+    joint = materialize(source, scheme)
+    p_av = joint.marginal(("A", "V")).mass
+    p_uv = np.transpose(joint.marginal(("V", "U")).mass)
+    np.testing.assert_allclose(np.exp2(book.log_uv), p_uv, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.exp2(book.log_a_given_v), (p_av / p_av.sum(axis=0)).T,
+                               rtol=0, atol=1e-15)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrd.binary import BinaryScheme, build_source, closed_form, sweep_curve
+from secrd.binary import BinaryScheme, build_source, closed_form, delta_star, sweep_curve
 from secrd.ordering import BecBscParams
 from secrd.probs import (
     Alphabet,
@@ -125,16 +125,6 @@ def test_binary_curve_is_monotone_and_self_consistent(p, eps):
             assert pt.delta_general > pt.delta_wz
 
 
-def _family_optimum(params, d_budget, rate_budget):
-    """Delta*(d, r): `sweep_curve`'s delta_general at min(d, eps/2), the best
-    binary-symmetric scheme under D <= d and R <= r, or None when even
-    alpha = min(d/eps, 1/2) needs a rate above r."""
-    d = min(d_budget, params.eps / 2.0)
-    if params.eps * (1.0 - binary_entropy(min(d / params.eps, 0.5))) > rate_budget + 1e-9:
-        return None
-    return sweep_curve(params, [d])[0].delta_general
-
-
 @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7, 0.9, 1.0])
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3])
 def test_sweep_comes_near_the_binary_family_optimum(p, eps):
@@ -149,7 +139,7 @@ def test_sweep_comes_near_the_binary_family_optimum(p, eps):
         curve = sweep_boundary(source, budgets, SearchConfig(rate_budget=rate_budget))
         found = {d: tup for d, tup, _ in curve.points}
         for d in budgets:
-            want = _family_optimum(params, d, np.inf if rate_budget is None else rate_budget)
+            want = delta_star(params, d, np.inf if rate_budget is None else rate_budget)
             assert (d in found) == (want is not None)
             if want is not None:
                 assert found[d].equivocation >= want - 0.06

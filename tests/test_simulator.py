@@ -36,22 +36,52 @@ SCHEME = BinaryScheme(alpha=0.031124, beta=0.0496)
 def brute_force_encoder(book, seqs):
     """Codeword index s1 * M2 + s2 and success flag for every word in `seqs`.
 
-    Every (s1, s2, a) is scored by summing log p(u_i, v_i, a_i) letter by
-    letter. Per u-word in index order, the top score over its v-words is
-    taken at the lowest s2 within SCORE_TOL of it, and replaces the best so
-    far only if it beats it by more than SCORE_TOL.
+    Every (s1, s2, a) is scored by summing log p(u_i, v_i) + log p(a_i | v_i)
+    letter by letter. Per u-word in index order, the top score over its
+    v-words is taken at the lowest s2 within SCORE_TOL of it, and replaces the
+    best so far only if it beats it by more than SCORE_TOL.
     """
     best = np.full(len(seqs), -np.inf)
     idx = np.zeros(len(seqs), dtype=np.int64)
     for s1, u in enumerate(book.u_words):
         v = book.v_words[s1]
-        scores = book.log_uva[u, v[:, None, :], seqs].sum(axis=2)  # (M2, T)
+        scores = (book.log_uv[u, v][:, None, :]
+                  + book.log_a_given_v[v[:, None, :], seqs]).sum(axis=2)  # (M2, T)
         top = scores.max(axis=0)
         gain = top > best + SCORE_TOL
         s2 = np.argmax(scores >= top - SCORE_TOL, axis=0)  # first within tol
         best[gain] = top[gain]
         idx[gain] = s1 * len(book.v_bins) + s2[gain]
     return idx, best > _LOG_FLOOR / 2
+
+
+def lowest_index_encoder(book):
+    """Codeword index s1 * M2 + s2 and success flag for every source word,
+    by the encoder's rule on the full (codeword x word) score matrix.
+
+    Each codeword scores sum_i log2 p(a_i, v_i, u_i), from a table built here
+    from `_p_abvu`, and each word takes the lowest codeword index within
+    SCORE_TOL of its best score.
+    """
+    log_avu = simulate._safe_log2(simulate._p_abvu(book.source, book.scheme).sum(axis=1))
+    n = book.cfg.n
+    u = np.repeat(book.u_words, len(book.v_bins), axis=0)  # row s1 * M2 + s2
+    v = book.v_words.reshape(-1, n)
+    scores = log_avu[source_words(book)[None], v[:, None], u[:, None]].sum(axis=2)
+    top = scores.max(axis=0)
+    return np.argmax(scores >= top - SCORE_TOL, axis=0), top > _LOG_FLOOR / 2
+
+
+def quaternary_v_case():
+    """(source, scheme, rates): the paper's source with a |V| = 4, |U| = 2
+    scheme and 2^(n/4) u-words of 2^(3n/4) v-words each, so that at n = 8
+    the v-words have more distinct halves than there are u-words."""
+    v, u = Alphabet(tuple(f"v{i}" for i in range(4))), Alphabet(("u0", "u1"))
+    aux = AuxScheme(
+        ConditionalPmf(BITS, v, np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])),
+        ConditionalPmf(v, u, np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])),
+        np.array([[0, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]]))
+    return build_source(PARAMS), aux, SimRates(0.25, 0.1, 0.75, 0.2)
 
 
 def canonical():
@@ -285,6 +315,59 @@ class TestCodebook:
                 messages, book.u_bins[s1] * book.n_bins[1] + book.v_bins[s2])
             if case == "noiseless-bob":
                 assert not ok.all()
+
+    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "skewed", "p0",
+                                      "ternary", "ternary-zero-a", "quaternary-v"])
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_encoder_takes_lowest_codeword_within_tolerance(self, case, n):
+        if case == "quaternary-v":
+            src, aux, rates = quaternary_v_case()
+        else:
+            src, aux = case_source(case)
+            rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1, seed=0))
+        idx, ok = lowest_index_encoder(book)
+        np.testing.assert_array_equal(book._encode_idx, idx)
+        np.testing.assert_array_equal(book._encode_ok, ok)
+        if case == "quaternary-v" and n == 8:
+            halves = book.v_words.reshape(-1, n)
+            assert min(len(np.unique(halves[:, :4], axis=0)),
+                       len(np.unique(halves[:, 4:], axis=0))) > len(book.u_words)
+
+    def test_row_groups_of_rows_too_long_for_one_integer(self):
+        # 70 binary letters overflow an int64 code, so the ids are renumbered;
+        # rows that differ only in their first letters would collide
+        rng = np.random.default_rng(3)
+        distinct = np.concatenate([
+            np.pad(all_words(2, 3), ((0, 0), (0, 67))),
+            rng.integers(0, 2, size=(32, 70))])
+        rows = distinct[rng.integers(0, 40, size=120)]
+        first, ids = simulate._row_groups(rows, 2)
+        np.testing.assert_array_equal(rows[first[ids]], rows)
+        assert len(first) == len(np.unique(rows, axis=0))
+
+    def test_v_letter_drawn_at_the_top_of_the_cdf_stays_in_range(self, monkeypatch):
+        # p(v | u0) of this scheme sums to 2 ulps below 1, so a uniform of
+        # 1 - 2^-53 lies above its last cdf entry unless the cdf is normalized
+        v, u = Alphabet(("v0", "v1", "v2")), Alphabet(("u0", "u1"))
+        aux = AuxScheme(ConditionalPmf(BITS, v, np.array([[0.1, 0.1, 0.8], [0.1, 0.2, 0.7]])),
+                        ConditionalPmf(v, u, np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.3]])),
+                        np.zeros((3, 3), dtype=int))
+        src = build_source(PARAMS)
+        p_vu = simulate._p_abvu(src, aux).sum(axis=1).sum(axis=0)
+        assert (p_vu[:, 0] / p_vu[:, 0].sum()).cumsum()[-1] < 1.0 - 2.0 ** -53
+
+        class EdgeDraws:  # every u letter is u0, every uniform 1 - 2^-53
+            def choice(self, k, size, p):
+                return np.zeros(size, dtype=np.int64)
+
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0 ** -53)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeDraws())
+        book = Codebook(src, aux, SimConfig(n=4, rates=SimRates(0.5, 0.25, 0.5, 0.25),
+                                            trials=1, seed=0))
+        assert (book.v_words == 2).all()
 
     def test_decode_recovers_clean_transmission(self):
         # with B = A (eps -> 0 has no erasures) the decoder should recover
