@@ -249,12 +249,14 @@ class Codebook:
         By the chain U - V - A the score is w(c) + GL[v-left, a-left] +
         GR[v-right, a-right]: w(c) sums log p(u_i, v_i), and GL and GR sum
         log p(a_i | v_i) over the first h and the last n - h letters, one row
-        per distinct half of the v-words. Pass 1 takes, per v-left group g,
-        N[g, a-right] = the max over g's codewords of w(c) + GR, and then
-        every word's best, M = max over g of GL[g] + N[g]. Pass 2 reads the
-        codewords of only the (group, word) pairs with GL + N within
-        SCORE_TOL of M, and of those only the ones where a running maximum
-        of w(c) + GR over the group in index order rises.
+        per distinct half of the v-words. The codewords are grouped by v-left
+        half, and a group is cut into parts of at most 2 |A|^h codewords in
+        index order. Pass 1 takes, per group g, N[g, a-right] = the max over
+        g's codewords of w(c) + GR, and then every word's best, M = max over
+        g of GL[g] + N[g]. Pass 2 reads the codewords of only the (group,
+        word) pairs with GL + N within SCORE_TOL of M, and of those only the
+        ones where a running maximum of w(c) + GR over the group in index
+        order rises.
         """
         na, n = len(self.log_a), self.cfg.n
         m2 = len(self.v_bins)
@@ -269,7 +271,18 @@ class Codebook:
         right_first, right_id = _row_groups(v_words[:, h:], n_v)
         gl = _word_sums(self.log_a_given_v[v_words[left_first, :h]])   # (G, A^h)
         gr = _word_sums(self.log_a_given_v[v_words[right_first, h:]])  # (H, A^(n-h))
-        n_groups, n_left, n_right = len(left_first), gl.shape[1], gr.shape[1]
+        n_left, n_right = gl.shape[1], gr.shape[1]
+        # Split each group, in index order, into parts of at most 2 |A|^h
+        # codewords, which the passes then treat as groups: pass 1's loop
+        # takes at most that many steps per block, and the parts add at most
+        # C |A|^(n-h) / 2 cells, half of pass 1's, to the (max, +) products.
+        order = np.argsort(left_id, kind="stable")
+        group_size = np.bincount(left_id)
+        pos = np.arange(count) - np.repeat(np.cumsum(group_size) - group_size, group_size)
+        starts = pos % (2 * n_left) == 0
+        gl = gl[left_id[order[starts]]]
+        left_id[order] = np.cumsum(starts) - 1
+        n_groups = len(gl)
         # groups by falling size, so those with more than j codewords come
         # first; codewords by group, in index order within each group
         group_size = np.bincount(left_id, minlength=n_groups)

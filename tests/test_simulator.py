@@ -317,11 +317,14 @@ class TestCodebook:
                 assert not ok.all()
 
     @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "skewed", "p0",
-                                      "ternary", "ternary-zero-a", "quaternary-v"])
+                                      "ternary", "ternary-zero-a", "quaternary-v",
+                                      "many-v-words"])
     @pytest.mark.parametrize("n", [1, 3, 5, 8])
     def test_encoder_takes_lowest_codeword_within_tolerance(self, case, n):
         if case == "quaternary-v":
             src, aux, rates = quaternary_v_case()
+        elif case == "many-v-words":  # 2^(7n/8) v-words per u-word
+            (src, aux), rates = canonical(), SimRates(0.25, 0.1, 0.875, 0.5)
         else:
             src, aux = case_source(case)
             rates = achievability_rates(src, aux, slack=0.1)
@@ -329,10 +332,13 @@ class TestCodebook:
         idx, ok = lowest_index_encoder(book)
         np.testing.assert_array_equal(book._encode_idx, idx)
         np.testing.assert_array_equal(book._encode_ok, ok)
+        halves = book.v_words.reshape(-1, n)
         if case == "quaternary-v" and n == 8:
-            halves = book.v_words.reshape(-1, n)
             assert min(len(np.unique(halves[:, :4], axis=0)),
                        len(np.unique(halves[:, 4:], axis=0))) > len(book.u_words)
+        if case == "many-v-words" and n > 1:  # some v-left half is split
+            counts = np.unique(halves[:, :n // 2], axis=0, return_counts=True)[1]
+            assert counts.max() > 2 * 2 ** (n // 2)
 
     def test_row_groups_of_rows_too_long_for_one_integer(self):
         # 70 binary letters overflow an int64 code, so the ids are renumbered;
