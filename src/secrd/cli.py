@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_RESOURCE = 4
+MAX_GRID = 1 << 16  # --grid points, checked before any grid is allocated
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -114,6 +115,8 @@ def _grid(stop: float, num: int) -> np.ndarray:
     """`num` evenly spaced distortions from 0 to `stop`."""
     if num < 0:
         raise InvalidArgument(f"--grid must be >= 0, got {num}")
+    if num > MAX_GRID:
+        raise ResourceLimit(f"--grid {num} exceeds the limit of {MAX_GRID} points")
     return np.linspace(0.0, stop, num)
 
 

@@ -23,8 +23,8 @@ from .probs import (
     ConditionalPmf,
     InvalidArgument,
     ResourceLimit,
-    batch_entropy,
     binary_entropy,
+    information,
 )
 from .region import SecureSource, _channel_grid
 
@@ -176,16 +176,9 @@ def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]
     )
 
 
-def _information(p: np.ndarray) -> np.ndarray:
-    """I(X;Y) in bits of each p[k, x, y], clamped at 0."""
-    return np.maximum(0.0, batch_entropy(p.sum(axis=2)) + batch_entropy(p.sum(axis=1))
-                      - batch_entropy(p))
-
-
 def is_more_capable(source: SecureSource, tol: float = FEAS_TOL) -> tuple[bool, bool]:
     """Compare I(A;B) against I(A;E); ties report yes in both directions."""
-    iab = float(_information(source.p_abe.sum(axis=2)[None])[0])
-    iae = float(_information(source.p_abe.sum(axis=1)[None])[0])
+    iab, iae = (float(information(source.p_abe, "ABE", "A", y)) for y in "BE")
     return iab >= iae - tol, iae >= iab - tol
 
 
@@ -234,7 +227,8 @@ def _less_noisy_gap(source: SecureSource, resolution: int = 40,
         raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
     channels = _channel_grid(len(source.a_alphabet), u_size, resolution)
     p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
-    return channels, _information(p_ea @ channels) - _information(p_ba @ channels)
+    return channels, (information(p_ea @ channels, "EU", "U", "E")
+                      - information(p_ba @ channels, "BU", "U", "B"))
 
 
 def less_noisy_search(source: SecureSource, resolution: int = 40,

@@ -3,6 +3,7 @@
 Everything here works on dense numpy arrays indexed by named axes.
 Alphabets are tiny (a handful of symbols), so no attempt is made at
 sparse storage. All logs are base 2 and 0*log(0) = 0 throughout.
+`information` is the one kernel for H(x|z) and I(x;y|z), on batches of joints.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -134,12 +136,33 @@ def batch_entropy(p: np.ndarray) -> np.ndarray:
     return 0.0 - (p * logs).sum(axis=tuple(range(1, p.ndim)))
 
 
+def information(p: np.ndarray, axes: Sequence[str], x: Sequence[str],
+                y: Sequence[str] = (), given: Sequence[str] = ()) -> np.ndarray:
+    """H(x|given) in bits, or I(x;y|given) clamped at 0 if `y` is nonempty.
+
+    `axes` names the trailing axes of `p`; the result keeps its leading batch
+    axes. Names come in strings or tuples, read as sets, and are not checked."""
+    batch = p.shape[:p.ndim - len(axes)]
+    q = p if len(batch) == 1 else p.reshape(-1, *p.shape[len(batch):])  # one batch axis
+    h = [batch_entropy(q if axis == () else q.sum(axis=axis)) if axis is not None
+         else np.zeros(len(q)) for axis in _entropy_sums(axes, x, y, given)]
+    h_x = h[0] - h[1]
+    return (np.maximum(0.0, h_x - (h[2] - h[3])) if len(h) > 2 else h_x).reshape(batch)
+
+
+@lru_cache(maxsize=1024)
+def _entropy_sums(axes, x, y, given) -> tuple:
+    """For H(x,z), H(z) and, if y, H(x,y,z) and H(y,z): the `axis` argument that
+    sums a (batch, *axes) array to the marginal, () if none, None for no names."""
+    x, y, given = set(x), set(y), set(given)
+    keeps = (x | given, given) + ((x | y | given, y | given) if y else ())
+    drops = [tuple(i for i, n in enumerate(axes, 1) if n not in keep) for keep in keeps]
+    return tuple(None if len(d) == len(axes) else d[0] if len(d) == 1 else d for d in drops)
+
+
 def entropy(pmf: JointPmf, targets: Iterable[str]) -> float:
     """H of the marginal on `targets`, in bits."""
-    targets = tuple(targets)
-    if not targets:
-        return 0.0
-    return float(batch_entropy(pmf.marginal(targets).mass[None])[0])
+    return conditional_entropy(pmf, targets, ())
 
 
 def conditional_entropy(pmf: JointPmf, targets: Iterable[str], given: Iterable[str]) -> float:
@@ -147,24 +170,18 @@ def conditional_entropy(pmf: JointPmf, targets: Iterable[str], given: Iterable[s
     targets, given = tuple(targets), tuple(given)
     if set(targets) & set(given):
         raise InvalidArgument("target and conditioning sets must be disjoint")
-    return entropy(pmf, targets + given) - entropy(pmf, given)
+    pmf._axis_indices(targets + given)
+    return float(information(pmf.mass, pmf.names, targets, given=given))
 
 
-def mutual_information(
-    pmf: JointPmf,
-    x: Iterable[str],
-    y: Iterable[str],
-    given: Iterable[str] = (),
-) -> float:
+def mutual_information(pmf: JointPmf, x: Iterable[str], y: Iterable[str],
+                       given: Iterable[str] = ()) -> float:
     """I(x;y|given) in bits; tiny negative round-off is clamped to 0."""
     x, y, given = tuple(x), tuple(y), tuple(given)
-    sets = [set(x), set(y), set(given)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sets[i] & sets[j]:
-                raise InvalidArgument("x, y and given must be pairwise disjoint")
-    val = conditional_entropy(pmf, x, given) - conditional_entropy(pmf, x, y + given)
-    return max(0.0, val)
+    if set(x) & set(y) or set(given) & set(x + y):
+        raise InvalidArgument("x, y and given must be pairwise disjoint")
+    pmf._axis_indices(x + y + given)
+    return float(information(pmf.mass, pmf.names, x, y, given)) if y else 0.0
 
 
 def compose(first: ConditionalPmf, second: ConditionalPmf) -> ConditionalPmf:

@@ -25,10 +25,10 @@ from .probs import (
     JointPmf,
     ResourceLimit,
     all_words,
-    batch_entropy,
     constant_channel,
     csv_text,
     identity_channel,
+    information,
     joint_from,
 )
 
@@ -137,12 +137,6 @@ def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
     )
 
 
-def _h_a_given_rest(p: np.ndarray, ndim: int) -> np.ndarray:
-    """H(A | the other axes) of p[..., a, ...], whose last `ndim` axes are (A, rest)."""
-    flat = p.reshape(-1, *p.shape[-ndim:])
-    return (batch_entropy(flat) - batch_entropy(flat.sum(axis=1))).reshape(p.shape[:-ndim])
-
-
 def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
               recon: np.ndarray | None = None):
     """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines
@@ -166,11 +160,11 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     w = v @ u  # the composite channel A -> U
     p_abu = p_ab[:, :, None] * w[..., :, None, :]
     p_aeu = p_abe.sum(axis=1)[:, :, None] * w[..., :, None, :]
-    h_a_bv = _h_a_given_rest(p_abv, 3)
-    h_a_u = _h_a_given_rest(p_abu.sum(axis=-2), 2)
-    rate = np.maximum(0.0, _h_a_given_rest(p_ab, 2) - h_a_bv)
-    i_ab_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_abu, 3))
-    i_ae_u = np.maximum(0.0, h_a_u - _h_a_given_rest(p_aeu, 3))
+    h_a_bv = information(p_abv, "ABV", "A", given="BV")
+    h_a_u = information(p_abu.sum(axis=-2), "AU", "A", given="U")
+    rate = np.maximum(0.0, information(p_ab, "AB", "A", given="B") - h_a_bv)
+    i_ab_u = np.maximum(0.0, h_a_u - information(p_abu, "ABU", "A", given="BU"))
+    i_ae_u = np.maximum(0.0, h_a_u - information(p_aeu, "AEU", "A", given="EU"))
     delta = h_a_bv + i_ab_u - i_ae_u
     return (np.broadcast_to(rate, delta.shape), np.broadcast_to(dist, delta.shape), delta,
             np.broadcast_to(recon, delta.shape + recon.shape[-2:]))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probs import InvalidArgument, ResourceLimit, batch_entropy, csv_text
+from .probs import InvalidArgument, ResourceLimit, csv_text, information
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
@@ -98,15 +98,8 @@ def achievability_rates(source: SecureSource, scheme: AuxScheme,
     if not np.isfinite(slack):
         raise InvalidArgument(f"slack must be finite, got {slack}")
     p = _p_abvu(source, scheme)
-
-    def h(keep: str) -> float:  # entropy of the marginal on `keep`, out of "ABVU"
-        drop = tuple(i for i, name in enumerate("ABVU") if name not in keep)
-        return float(batch_entropy(p.sum(axis=drop)[None])[0])
-
-    iua = max(0.0, h("U") + h("A") - h("AU"))
-    iub = max(0.0, h("U") + h("B") - h("BU"))
-    iva_u = max(0.0, h("VU") + h("AU") - h("AVU") - h("U"))
-    ivb_u = max(0.0, h("VU") + h("BU") - h("BVU") - h("U"))
+    iua, iub = (float(information(p, "ABVU", "U", y)) for y in "AB")
+    iva_u, ivb_u = (float(information(p, "ABVU", "V", y, "U")) for y in "AB")
     s1 = iua + slack
     r1 = max(0.0, s1 - max(0.0, iub - slack))
     s2 = iva_u + slack

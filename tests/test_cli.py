@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from secrd.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, main
+from secrd import cli
+from secrd.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, MAX_GRID, main
 
 SOURCE_TEXT = """\
 joint
@@ -419,6 +420,22 @@ def test_bad_argv_ends_in_an_exit_code(argv, code, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("grid", [MAX_GRID + 1, 10 ** 15])
+@pytest.mark.parametrize("command", [["binary", "--curve"], ["sweep"]], ids=["curve", "sweep"])
+def test_grid_above_the_bound_is_a_resource_error(command, grid, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert main(command + ["--grid", str(grid)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --grid") and captured.out == ""
+
+
+def test_grid_at_the_bound_is_allowed():
+    assert cli._grid(0.5, MAX_GRID).shape == (MAX_GRID,)
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrd.probs import (
     Alphabet,
@@ -21,6 +23,7 @@ from secrd.probs import (
     constant_channel,
     entropy,
     identity_channel,
+    information,
     joint_from,
     load_conditional,
     load_joint,
@@ -124,10 +127,43 @@ class TestInformationMeasures:
 
     def test_overlapping_sets_rejected(self):
         pmf = JointPmf((("X", BITS), ("Y", BITS)), np.full((2, 2), 0.25))
-        with pytest.raises(InvalidArgument):
-            conditional_entropy(pmf, ("X",), ("X",))
-        with pytest.raises(InvalidArgument):
-            mutual_information(pmf, ("X",), ("Y",), ("X",))
+        for targets, z in [(("X",), ("X",)), (("X", "Y"), ("Y",))]:
+            with pytest.raises(InvalidArgument,
+                               match="target and conditioning sets must be disjoint"):
+                conditional_entropy(pmf, targets, z)
+        for x, y, z in [(("X",), ("Y",), ("X",)), (("X",), ("Y",), ("Y",)), (("X",), ("X",), ())]:
+            with pytest.raises(InvalidArgument, match="x, y and given must be pairwise disjoint"):
+                mutual_information(pmf, x, y, z)
+
+    @pytest.mark.parametrize("call", [
+        lambda pmf: entropy(pmf, ("Z",)),
+        lambda pmf: entropy(pmf, ("X", "Z")),
+        lambda pmf: conditional_entropy(pmf, ("X",), ("Z",)),
+        lambda pmf: mutual_information(pmf, ("Z",), ("Y",)),
+        lambda pmf: mutual_information(pmf, ("X",), ("Y",), ("Z",)),
+    ], ids=["entropy", "entropy-of-two", "conditional-given", "mi-x", "mi-given"])
+    def test_unknown_axis_rejected(self, call):
+        pmf = JointPmf((("X", BITS), ("Y", BITS)), np.full((2, 2), 0.25))
+        with pytest.raises(InvalidArgument, match="unknown axis 'Z'"):
+            call(pmf)
+
+    def test_empty_and_repeated_name_sets(self):
+        pmf = random_joint(np.random.default_rng(10), (3, 2), ("X", "Y"))
+        h_x = entropy(pmf, ("X",))
+        assert entropy(pmf, ()) == 0.0
+        assert conditional_entropy(pmf, (), ("X",)) == 0.0
+        assert mutual_information(pmf, ("X",), ()) == 0.0
+        assert entropy(pmf, ("X", "X")) == h_x  # a name set, as `marginal` takes it
+        assert conditional_entropy(pmf, ("X", "X"), ()) == h_x
+        assert mutual_information(pmf, ("X", "X"), ("Y", "Y")) == mutual_information(
+            pmf, ("X",), ("Y",))
+
+    def test_information_is_clamped_at_zero(self):
+        # Z has one symbol, so I(X,Y; Z) = 0, but H(XY) - H(XY|Z) rounds to -4.4e-16
+        p = np.array([10, 12, 19, 14, 13, 11]).reshape(2, 3, 1) / 79
+        assert information(p, "XYZ", "XY") - information(p, "XYZ", "XY", given="Z") < 0.0
+        got = information(p, "XYZ", "XY", "Z")
+        assert got == 0.0 and not np.signbit(got)
 
     def test_joint_from_enforces_markov_chain(self):
         rng = np.random.default_rng(9)
@@ -148,6 +184,55 @@ class TestInformationMeasures:
         base = JointPmf((("A", BITS),), np.array([0.5, 0.5]))
         with pytest.raises(InvalidArgument, match="does not match axis 'A'"):
             joint_from(base, [("V", bsc(0.1, Alphabet(("x", "y"))), "A")])
+
+
+def _direct_information(p, names, x, y, z):
+    """H(x|z) = -sum p(x,z) log2 p(x|z), or, if y, I(x;y|z) =
+    sum p(x,y,z) log2 [p(x,y,z) p(z) / (p(x,z) p(y,z))], summed cell by cell."""
+    lead = p.ndim - len(names)
+    trailing = tuple(range(lead, p.ndim))
+
+    def marginal(keep):  # keepdims, so the marginals broadcast against p
+        return p.sum(axis=tuple(lead + i for i, n in enumerate(names) if n not in keep),
+                     keepdims=True)
+
+    x, y, z = set(x), set(y), set(z)
+    p_xz, p_z = marginal(x | z), marginal(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not y:
+            return 0.0 - np.where(p_xz > 0, p_xz * np.log2(p_xz / p_z), 0.0).sum(axis=trailing)
+        p_xyz, p_yz = marginal(x | y | z), marginal(y | z)
+        terms = np.where(p_xyz > 0, p_xyz * np.log2(p_xyz * p_z / (p_xz * p_yz)), 0.0)
+    return np.maximum(0.0, terms.sum(axis=trailing))
+
+
+@st.composite
+def batched_joints(draw):
+    """(p, names, x, y, given): 0-2 batch axes of joints on 2-4 named axes,
+    some cells zero, each name in at most one of x, y and given."""
+    names = draw(st.permutations("WXYZ"))[:draw(st.integers(2, 4))]
+    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    shape += draw(st.lists(st.integers(1, 3), min_size=len(names), max_size=len(names)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.random(shape) * (rng.random(shape) >= draw(st.sampled_from([0.0, 0.3, 0.7])))
+    rows = p.reshape(-1, int(np.prod(shape[-len(names):])))
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    p = (rows / rows.sum(axis=1, keepdims=True)).reshape(shape)
+    roles = draw(st.lists(st.sampled_from("xyg-"), min_size=len(names), max_size=len(names)))
+    x, y, g = (tuple(n for n, r in zip(names, roles) if r == role) for role in "xyg")
+    return p, tuple(names), x, y, g
+
+
+@given(batched_joints())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_information_matches_the_direct_sums(case):
+    p, names, x, y, g = case
+    got = information(p, names, x, y, g)
+    assert np.shape(got) == p.shape[:p.ndim - len(names)]
+    np.testing.assert_allclose(got, _direct_information(p, names, x, y, g), rtol=0, atol=1e-12)
+    assert not y or np.all(got >= 0.0)  # I is clamped at 0
+    for row in np.ndindex(np.shape(got)):  # a batch row gives the bits it gives alone
+        assert np.asarray(got)[row] == information(p[row], names, x, y, g)
 
 
 class TestBinaryHelpers:
