@@ -17,7 +17,8 @@ import numpy as np
 
 from .ordering import BecBscParams
 from .probs import (
-    Alphabet,
+    BITS,
+    ERASED_BITS,
     InvalidArgument,
     JointPmf,
     binary_entropy,
@@ -26,9 +27,6 @@ from .probs import (
     csv_text,
 )
 from .region import AuxScheme, RDETuple, SecureSource, evaluate_scheme
-
-BITS = Alphabet(("0", "1"))
-ERASED_BITS = Alphabet(("0", "e", "1"))  # the BEC output alphabet
 
 
 @dataclass(frozen=True)

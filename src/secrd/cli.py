@@ -192,24 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"output format (default: {formats[0]})")
         p.set_defaults(subparser=p)
 
+    model = argparse.ArgumentParser(add_help=False)  # the binary model's flags
+    model.add_argument("--p", type=float, default=0.1)
+    model.add_argument("--eps", type=float, default=0.469)
+
     p_eval = sub.add_parser("eval", help="evaluate a scheme on a source")
     p_eval.add_argument("--source", required=True)
     p_eval.add_argument("--scheme", required=True)
     common(p_eval, ("text", "json"))
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="boundary sweep on the binary model")
-    p_sweep.add_argument("--p", type=float, default=0.1)
-    p_sweep.add_argument("--eps", type=float, default=0.469)
+    p_sweep = sub.add_parser("sweep", help="boundary sweep on the binary model",
+                             parents=[model])
     p_sweep.add_argument("--grid", type=int, default=8)
     p_sweep.add_argument("--d-max", type=float, default=0.2, dest="d_max")
     p_sweep.add_argument("--rate-budget", type=float, default=None)
     common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_bin = sub.add_parser("binary", help="worked-example table and curve")
-    p_bin.add_argument("--p", type=float, default=0.1)
-    p_bin.add_argument("--eps", type=float, default=0.469)
+    p_bin = sub.add_parser("binary", help="worked-example table and curve",
+                           parents=[model])
     p_bin.add_argument("--curve", action="store_true",
                        help="write the equivocation-distortion curve as CSV")
     p_bin.add_argument("--grid", type=int, default=200)
@@ -217,16 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bin, ("text", "csv"))
     p_bin.set_defaults(func=cmd_binary)
 
-    p_cls = sub.add_parser("classify", help="side-information ordering verdict")
-    p_cls.add_argument("--p", type=float, default=0.1)
-    p_cls.add_argument("--eps", type=float, default=0.469)
+    p_cls = sub.add_parser("classify", help="side-information ordering verdict",
+                           parents=[model])
     p_cls.add_argument("--source", help="classify a source file instead")
     common(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
-    p_sim = sub.add_parser("simulate", help="finite-blocklength binning trials")
-    p_sim.add_argument("--p", type=float, default=0.1)
-    p_sim.add_argument("--eps", type=float, default=0.469)
+    p_sim = sub.add_parser("simulate", help="finite-blocklength binning trials",
+                           parents=[model])
     p_sim.add_argument("--alpha", type=float, default=0.031)
     p_sim.add_argument("--beta", type=float, default=0.05)
     p_sim.add_argument("--n", type=int, default=10)

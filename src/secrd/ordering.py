@@ -31,6 +31,7 @@ from .region import SecureSource, _channel_grid
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9     # smallest pivot element and improving reduced cost
 MAX_PIVOTS = 10_000  # the degradedness simplex gives up after this many
+LESS_NOISY_RESOLUTION = 40  # simplex subdivisions per row of an A -> U channel
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def _l1_simplex(pb: np.ndarray, pe: np.ndarray) -> np.ndarray:
     return np.column_stack([x[:nx].reshape(nb, ne - 1), x[nx:nx + nb]])
 
 
-def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
-                tol: float = FEAS_TOL) -> tuple[bool, ConditionalPmf | None]:
+def is_degraded(first: ConditionalPmf,
+                second: ConditionalPmf) -> tuple[bool, ConditionalPmf | None]:
     """Is `second` a stochastically degraded version of `first`?
 
     Decides feasibility of p(e|a) = sum_b p(b|a) q(e|b) over row-stochastic
@@ -157,7 +158,7 @@ def is_degraded(first: ConditionalPmf, second: ConditionalPmf,
         raise InvalidArgument("channels must share their input alphabet")
     pb, pe = first.rows, second.rows
     q = _l1_simplex(pb, pe)
-    if np.abs(pb @ q - pe).sum() > tol * pe.size + tol:
+    if np.abs(pb @ q - pe).sum() > FEAS_TOL * pe.size + FEAS_TOL:
         return False, None
     q = np.clip(q, 0.0, None)
     q /= q.sum(axis=1, keepdims=True)
@@ -176,10 +177,12 @@ def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]
     )
 
 
-def is_more_capable(source: SecureSource, tol: float = FEAS_TOL) -> tuple[bool, bool]:
+def is_more_capable(source: SecureSource) -> tuple[bool, bool]:
     """Compare I(A;B) against I(A;E); ties report yes in both directions."""
-    iab, iae = (float(information(source.p_abe, "ABE", "A", y)) for y in "BE")
-    return iab >= iae - tol, iae >= iab - tol
+    h_a = float(information(source.p_abe, "ABE", "A"))
+    iab, iae = (max(0.0, h_a - float(information(source.p_abe, "ABE", "A", given=y)))
+                for y in "BE")
+    return iab >= iae - FEAS_TOL, iae >= iab - FEAS_TOL
 
 
 def classify_bec_bsc(params: BecBscParams) -> OrderingVerdict:
@@ -212,7 +215,7 @@ def classify_source(source: SecureSource) -> OrderingVerdict:
     """
     ch_b, ch_e = side_channels(source)
     degraded = (is_degraded(ch_b, ch_e)[0], is_degraded(ch_e, ch_b)[0])
-    gap = None if all(degraded) else _less_noisy_gap(source)[1]
+    gap = None if all(degraded) else _less_noisy_gap(source, LESS_NOISY_RESOLUTION)[1]
     less_noisy = tuple("yes" if deg else "no" if np.max(sign * gap) > FEAS_TOL else "unknown"
                        for deg, sign in zip(degraded, (1.0, -1.0)))
     more_capable = tuple(mc or ln == "yes"
@@ -220,29 +223,25 @@ def classify_source(source: SecureSource) -> OrderingVerdict:
     return OrderingVerdict(degraded, less_noisy, more_capable)
 
 
-def _less_noisy_gap(source: SecureSource, resolution: int = 40,
-                    u_size: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """(channels, I(U;E) - I(U;B)) for every A -> U channel of the region lattice."""
-    if u_size > len(source.a_alphabet) + 1:
-        raise InvalidArgument("less-noisy search caps |U| at |A| + 1")
-    channels = _channel_grid(len(source.a_alphabet), u_size, resolution)
+def _less_noisy_gap(source: SecureSource, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """(channels, I(U;E) - I(U;B)) for every A -> U channel of the lattice, U binary."""
+    channels = _channel_grid(len(source.a_alphabet), 2, resolution)
     p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
     return channels, (information(p_ea @ channels, "EU", "U", "E")
                       - information(p_ba @ channels, "BU", "U", "B"))
 
 
-def less_noisy_search(source: SecureSource, resolution: int = 40,
-                      u_size: int = 2, tol: float = FEAS_TOL):
+def less_noisy_search(source: SecureSource, resolution: int = LESS_NOISY_RESOLUTION):
     """Grid search for a violation of I(U;B) >= I(U;E).
 
-    Auxiliary U is parameterized by a channel A -> U (which enforces the
+    A binary U is parameterized by a channel A -> U (which enforces the
     Markov chain U - A - (B, E)); all row-stochastic matrices on a simplex
     grid are tried. Returns ("counterexample", channel) when a violating U
     is found, else ("no-violation", resolution) -- evidence, not proof.
     """
-    channels, violation = _less_noisy_gap(source, resolution, u_size)
+    channels, violation = _less_noisy_gap(source, resolution)
     worst = int(np.argmax(violation))  # the first of equal maxima
-    if violation[worst] > tol:
-        u_alph = Alphabet(tuple(f"u{i}" for i in range(u_size)))
+    if violation[worst] > FEAS_TOL:
+        u_alph = Alphabet(("u0", "u1"))
         return "counterexample", ConditionalPmf(source.a_alphabet, u_alph, channels[worst])
     return "no-violation", resolution

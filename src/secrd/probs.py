@@ -52,6 +52,10 @@ class Alphabet:
             raise InvalidArgument(f"symbol {symbol!r} not in alphabet") from None
 
 
+BITS = Alphabet(("0", "1"))
+ERASED_BITS = Alphabet(("0", "e", "1"))  # the BEC output alphabet
+
+
 def _as_prob_array(values, shape) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(shape)
     if not np.all(arr >= -PMF_TOL):  # also false for NaN
@@ -243,21 +247,14 @@ def binary_star(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndar
     return a * (1.0 - b) + (1.0 - a) * b
 
 
-def bsc(p: float, alphabet: Alphabet | None = None) -> ConditionalPmf:
-    """Binary symmetric channel with crossover probability p."""
-    alphabet = alphabet or Alphabet(("0", "1"))
-    if len(alphabet) != 2:
-        raise InvalidArgument("bsc needs a binary alphabet")
-    return ConditionalPmf(alphabet, alphabet, [[1 - p, p], [p, 1 - p]])
+def bsc(p: float) -> ConditionalPmf:
+    """Binary symmetric channel on BITS with crossover probability p."""
+    return ConditionalPmf(BITS, BITS, [[1 - p, p], [p, 1 - p]])
 
 
-def bec(eps: float, alphabet: Alphabet | None = None) -> ConditionalPmf:
-    """Binary erasure channel; output alphabet is ('0', 'e', '1')."""
-    alphabet = alphabet or Alphabet(("0", "1"))
-    if len(alphabet) != 2:
-        raise InvalidArgument("bec needs a binary input alphabet")
-    out = Alphabet(("0", "e", "1"))
-    return ConditionalPmf(alphabet, out, [[1 - eps, eps, 0.0], [0.0, eps, 1 - eps]])
+def bec(eps: float) -> ConditionalPmf:
+    """Binary erasure channel from BITS to ERASED_BITS."""
+    return ConditionalPmf(BITS, ERASED_BITS, [[1 - eps, eps, 0.0], [0.0, eps, 1 - eps]])
 
 
 def identity_channel(alphabet: Alphabet) -> ConditionalPmf:

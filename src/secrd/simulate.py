@@ -44,6 +44,7 @@ from .probs import InvalidArgument, ResourceLimit, csv_text, information
 from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
+MAX_CODEWORDS = 1 << 16  # cap on the u-words, the v-words per u-word and their product
 CHUNK_CELLS = 1 << 14  # cap on the cells of one chunk of trials' arrays
 ENCODE_CELLS = 1 << 16  # cap on the cells of one block of encoder scores
 
@@ -66,7 +67,6 @@ class SimConfig:
     rates: SimRates
     trials: int
     seed: int
-    max_codewords: int = 1 << 16
 
     def __post_init__(self):
         if self.n <= 0:
@@ -77,8 +77,6 @@ class SimConfig:
             raise InvalidArgument(f"trial count must be at most 2^32, got {self.trials}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be nonnegative, got {self.seed}")
-        if self.max_codewords < 1:
-            raise InvalidArgument(f"max_codewords {self.max_codewords} is below 1")
 
 
 def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
@@ -107,10 +105,10 @@ def achievability_rates(source: SecureSource, scheme: AuxScheme,
     return SimRates(s1, r1, s2, r2)
 
 
-def _count(rate: float, n: int, budget: int) -> int:
-    """round(2^(n rate)), at least 1, checked against `budget` before it is computed."""
-    if not n * rate < np.log2(budget) + 1:  # else the count is at least twice the budget
-        raise ResourceLimit(f"2^{n * rate:.1f} codewords exceed budget {budget}")
+def _count(rate: float, n: int) -> int:
+    """round(2^(n rate)), at least 1, checked against MAX_CODEWORDS before it is computed."""
+    if not n * rate < np.log2(MAX_CODEWORDS) + 1:  # else the count is at least twice the cap
+        raise ResourceLimit(f"2^{n * rate:.4g} codewords exceed budget {MAX_CODEWORDS}")
     return max(1, int(round(2.0 ** (n * rate))))
 
 
@@ -191,11 +189,11 @@ class Codebook:
         self.log_b_given_a = _safe_log2(p_abe.sum(axis=2) / given_a)
         self.log_e_given_a = _safe_log2(p_abe.sum(axis=1) / given_a)
 
-        m1, m2, n1, n2 = (_count(rate, cfg.n, cfg.max_codewords) for rate in
+        m1, m2, n1, n2 = (_count(rate, cfg.n) for rate in
                           (cfg.rates.s1, cfg.rates.s2, cfg.rates.r1, cfg.rates.r2))
-        if m1 * m2 > cfg.max_codewords:
+        if m1 * m2 > MAX_CODEWORDS:
             raise ResourceLimit(f"codebook of {m1}x{m2} codewords exceeds budget "
-                                f"{cfg.max_codewords}")
+                                f"{MAX_CODEWORDS}")
         # i.i.d. draws: all u-words first, then the v-words of each u-word
         # in index order, each letter by inverting p(v | u_i)'s cdf.
         rng = np.random.default_rng(cfg.seed)

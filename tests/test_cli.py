@@ -370,6 +370,13 @@ class TestSimulate:
         assert captured.err == "error: codebook of 6534x122 codewords exceeds budget 65536\n"
         assert captured.out == ""
 
+    def test_huge_slack_gives_a_short_message(self, capsys):
+        # the codeword exponent n (I + slack) prints as 1e+301, not in 302 digits
+        assert main(["simulate", "--slack", "1e300"]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err == "error: 2^1e+301 codewords exceed budget 65536\n"
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_csv_header(self, tmp_path):
@@ -533,3 +540,13 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format bogus\n")
         assert main(["binary", "--config", str(cfg)]) == EXIT_INPUT
+
+
+def test_readme_library_examples_run(capsys):
+    # the blocks run in order in one namespace, as a reader would paste them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert blocks and capsys.readouterr().out

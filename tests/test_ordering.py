@@ -279,13 +279,7 @@ class TestLessNoisySearch:
         tag, _ = less_noisy_search(src, resolution=40)
         assert tag == "no-violation"
 
-    def test_u_size_cap(self):
-        src = build_source(BecBscParams(0.1, 0.3))
-        with pytest.raises(InvalidArgument):
-            less_noisy_search(src, u_size=4)
-
-    @pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -2},
-                                        {"u_size": 0}])
+    @pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -2}])
     def test_rejects_empty_grids(self, kwargs):
         src = build_source(BecBscParams(0.1, 0.3))
         with pytest.raises(InvalidArgument):

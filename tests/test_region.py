@@ -155,8 +155,9 @@ class TestSpecialPoints:
 
     def test_lossless_point_needs_u_from_a(self):
         src = build_source(PARAMS)
+        xy = Alphabet(("x", "y"))
         with pytest.raises(InvalidArgument):
-            lossless_region_point(src, bsc(0.2, Alphabet(("x", "y"))))
+            lossless_region_point(src, ConditionalPmf(xy, xy, bsc(0.2).rows))
 
     def test_eve_less_noisy_bound_equals_residual_entropy(self):
         rng = np.random.default_rng(14)

@@ -208,9 +208,6 @@ class TestRates:
             SimConfig(n=0, rates=rates, trials=10, seed=0)
         with pytest.raises(InvalidArgument):
             SimConfig(n=4, rates=rates, trials=-1, seed=0)
-        for budget in (0, -4):  # once a log2 RuntimeWarning, then "budget 0"
-            with pytest.raises(InvalidArgument, match="max_codewords"):
-                SimConfig(n=4, rates=rates, trials=1, seed=0, max_codewords=budget)
 
     def test_trial_count_within_one_word_spawn_keys(self):
         # constructed only: trial keys 0 .. trials - 1 must stay below 2^32
@@ -275,7 +272,7 @@ class TestCodebook:
     def test_resource_guard_on_codebook_size(self):
         src, aux = canonical()
         rates = SimRates(2.0, 1.0, 2.0, 1.0)
-        cfg = SimConfig(n=12, rates=rates, trials=1, seed=0, max_codewords=256)
+        cfg = SimConfig(n=12, rates=rates, trials=1, seed=0)  # 2^24 u-words
         with pytest.raises(ResourceLimit):
             Codebook(src, aux, cfg)
 
@@ -283,8 +280,8 @@ class TestCodebook:
         # 32 u-words and 32 v-words each fit a budget of 256, 32 x 32 does not;
         # the guard fires before any codeword is drawn
         src, aux = canonical()
-        cfg = SimConfig(n=10, rates=SimRates(0.5, 0.1, 0.5, 0.1), trials=1, seed=0,
-                        max_codewords=256)
+        cfg = SimConfig(n=10, rates=SimRates(0.5, 0.1, 0.5, 0.1), trials=1, seed=0)
+        monkeypatch.setattr(simulate, "MAX_CODEWORDS", 256)
         monkeypatch.setattr(np.random, "default_rng", None)
         with pytest.raises(ResourceLimit, match="codebook of 32x32 codewords exceeds budget 256"):
             run_trials(src, aux, cfg)
@@ -673,3 +670,53 @@ class TestTrials:
         summary = run_trials(src, aux, SimConfig(n=6, rates=rates,
                                                  trials=0, seed=0))
         assert summary.records == []
+
+
+def _word_pairs(p_ax, n):
+    """(|A|^n, |X|^n) array of prod_i p(a_i, x_i), both axes in word order."""
+    out = np.ones((1, 1))
+    for _ in range(n):
+        out = np.kron(out, p_ax)
+    return out
+
+
+def exact_expectations(source, scheme, cfg):
+    """(E[D], E[H]) of the codebook `cfg` draws, summed exactly.
+
+    E[D] = sum p(a^n, b^n) d(a^n, a_hat), with a_hat read off the pair the
+    decoder picks for a^n's message and b^n. E[H] = sum p(a^n, e^n)
+    log2 (p(m, e^n) / p(a^n, e^n)) / n, with m = a^n's message and
+    p(m, e^n) the sum of p(a^n, e^n) over m's preimage: Eve's expected
+    residual entropy per letter. The probabilities come from `source.p_abe`.
+    """
+    book = Codebook(source, scheme, cfg)
+    na, nb, ne = source.p_abe.shape
+    n = cfg.n
+    msgs, msg_of = np.unique(book._encode_map, return_inverse=True)
+    b_words = all_words(nb, n)
+    pair = book.decode(np.repeat(msgs, len(b_words)),
+                       np.tile(b_words, (len(msgs), 1))).reshape(len(msgs), -1)
+    a_hat = scheme.reconstruction[book.v_words.reshape(-1, n)[pair[msg_of]], b_words]
+    dist = source.distortion[all_words(na, n)[:, None, :], a_hat].mean(axis=2)
+    e_d = (_word_pairs(source.p_abe.sum(axis=2), n) * dist).sum()
+    p_ae = _word_pairs(source.p_abe.sum(axis=1), n)
+    p_me = np.zeros((len(msgs), ne ** n))
+    np.add.at(p_me, msg_of, p_ae)
+    ratio = np.where(p_ae > 0, p_me[msg_of] / np.where(p_ae > 0, p_ae, 1.0), 1.0)
+    return e_d, (p_ae * np.log2(ratio)).sum() / n
+
+
+class TestExactYardstick:
+    @pytest.mark.parametrize("case", ["paper", "ternary"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_trial_means_estimate_the_exact_expectations(self, case, n):
+        # within 4 standard errors of 10^4 trials, for the one codebook
+        src, aux = case_source(case)
+        cfg = SimConfig(n=n, rates=achievability_rates(src, aux, slack=0.1),
+                        trials=10_000, seed=3)
+        summary = run_trials(src, aux, cfg)
+        means = (summary.mean_distortion, summary.mean_equivocation)
+        for field, mean, exact in zip(("distortion", "equivocation"), means,
+                                      exact_expectations(src, aux, cfg)):
+            x = np.array([getattr(r, field) for r in summary.records])
+            assert abs(mean - exact) <= 4 * x.std(ddof=1) / np.sqrt(len(x))
