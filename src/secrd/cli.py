@@ -3,7 +3,7 @@
 Subcommands: eval, sweep, binary, classify, simulate. Every run is
 deterministic given its flags and optional config file; flags win over
 config-file values. Exit codes: 0 success, 2 input error, 3 domain
-invariant violation, 4 resource guard.
+invariant violation, 4 resource guard or out of memory.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ResourceLimit as exc:
+    except (ResourceLimit, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvalidArgument as exc:

@@ -178,11 +178,9 @@ def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]
 
 
 def is_more_capable(source: SecureSource) -> tuple[bool, bool]:
-    """Compare I(A;B) against I(A;E); ties report yes in both directions."""
-    h_a = float(information(source.p_abe, "ABE", "A"))
-    iab, iae = (max(0.0, h_a - float(information(source.p_abe, "ABE", "A", given=y)))
-                for y in "BE")
-    return iab >= iae - FEAS_TOL, iae >= iab - FEAS_TOL
+    """Compare I(A;B) against I(A;E) as H(A|E) against H(A|B); ties say yes both ways."""
+    h_a_b, h_a_e = (float(information(source.p_abe, "ABE", "A", given=y)) for y in "BE")
+    return h_a_e >= h_a_b - FEAS_TOL, h_a_b >= h_a_e - FEAS_TOL
 
 
 def classify_bec_bsc(params: BecBscParams) -> OrderingVerdict:
@@ -224,11 +222,12 @@ def classify_source(source: SecureSource) -> OrderingVerdict:
 
 
 def _less_noisy_gap(source: SecureSource, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """(channels, I(U;E) - I(U;B)) for every A -> U channel of the lattice, U binary."""
+    """(channels, I(U;E) - I(U;B) = H(U|B) - H(U|E)) for every A -> U channel
+    of the lattice, U binary."""
     channels = _channel_grid(len(source.a_alphabet), 2, resolution)
     p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
-    return channels, (information(p_ea @ channels, "EU", "U", "E")
-                      - information(p_ba @ channels, "BU", "U", "B"))
+    return channels, (information(p_ba @ channels, "BU", "U", given="B")
+                      - information(p_ea @ channels, "EU", "U", given="E"))
 
 
 def less_noisy_search(source: SecureSource, resolution: int = LESS_NOISY_RESOLUTION):

@@ -140,7 +140,8 @@ def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
 def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
               recon: np.ndarray | None = None):
     """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines
-    them but with Delta before the positive part, so a search can climb it.
+    them but with Delta = H(A|VB) + H(A|EU) - H(A|BU), the shared H(A|U)
+    cancelled, before the positive part, so a search can climb it.
 
     `v[..., :, :]` holds |A| x |V| and `u[..., :, :]` |V| x |U| channel rows,
     and `recon[..., :, :]` |V| x |B| reconstruction maps; their leading batch
@@ -161,11 +162,9 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     p_abu = p_ab[:, :, None] * w[..., :, None, :]
     p_aeu = p_abe.sum(axis=1)[:, :, None] * w[..., :, None, :]
     h_a_bv = information(p_abv, "ABV", "A", given="BV")
-    h_a_u = information(p_abu.sum(axis=-2), "AU", "A", given="U")
     rate = np.maximum(0.0, information(p_ab, "AB", "A", given="B") - h_a_bv)
-    i_ab_u = np.maximum(0.0, h_a_u - information(p_abu, "ABU", "A", given="BU"))
-    i_ae_u = np.maximum(0.0, h_a_u - information(p_aeu, "AEU", "A", given="EU"))
-    delta = h_a_bv + i_ab_u - i_ae_u
+    delta = (h_a_bv + information(p_aeu, "AEU", "A", given="EU")
+             - information(p_abu, "ABU", "A", given="BU"))
     return (np.broadcast_to(rate, delta.shape), np.broadcast_to(dist, delta.shape), delta,
             np.broadcast_to(recon, delta.shape + recon.shape[-2:]))
 

@@ -130,7 +130,8 @@ def _word_sums(table: np.ndarray) -> np.ndarray:
     """
     sums = np.zeros((len(table), 1))
     for letter in table.transpose(1, 0, 2):
-        sums = (sums[:, :, None] + letter[:, None, :]).reshape(len(table), -1)
+        sums = (sums[:, :, None] + letter[:, None, :]).reshape(
+            len(table), sums.shape[1] * letter.shape[1])
     return sums
 
 
@@ -429,20 +430,20 @@ class Codebook:
 
 
 def exact_equivocation(codebook: Codebook, msg_ids, e_seqs) -> np.ndarray:
-    """(1/n) H(A^n | W = message, E^n = e) of each of K trials, a (K,) array,
-    by enumerating the message's preimage. Ids and rows that fail
-    `Codebook._check`, or an id with an empty preimage, raise InvalidArgument."""
+    """(1/n) H(A^n | W = message, E^n = e) of each of K trials, a (K,) array, over
+    the message's preimage: H = log2 Z - sum w s / Z, with s each word's
+    log-likelihood less the trial's maximum, w = 2^s and Z = sum w. Ids and rows that
+    fail `Codebook._check`, or an id with an empty preimage, raise InvalidArgument."""
     msg_ids, e_seqs = codebook._check(msg_ids, e_seqs, 2)
     start = codebook._preimage_start
     if not (start[msg_ids] < start[msg_ids + 1]).all():
         raise InvalidArgument("message has an empty source preimage")
     trial, first, _, scores, _ = codebook._preimage_loglik(
         msg_ids, e_seqs, codebook.log_e_given_a)
-    post = np.exp2(scores - np.maximum.reduceat(scores, first)[trial])
-    post /= np.add.reduceat(post, first)[trial]
-    plogp = post * np.log2(np.where(post > 0, post, 1.0))
-    # 0.0 - x, not -x: a point-mass posterior gives +0.0 rather than -0.0
-    return (0.0 - np.add.reduceat(plogp, first)) / codebook.cfg.n
+    s = scores - np.maximum.reduceat(scores, first)[trial]
+    w = np.exp2(s)
+    z = np.add.reduceat(w, first)
+    return (np.log2(z) - np.add.reduceat(w * s, first) / z) / codebook.cfg.n
 
 
 _M32 = 0xFFFFFFFF

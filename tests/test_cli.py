@@ -63,6 +63,20 @@ class TestEval:
         assert set(payload) == {"R", "D", "Delta"}
         assert payload["D"] >= 0.0
 
+    @pytest.mark.parametrize("source, argv, golden", [
+        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt", [],
+         "eval_p0.1_eps0.469.txt"),
+        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt", ["--format", "json"],
+         "eval_p0.1_eps0.469.json"),
+        (Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt", [],
+         "eval_p0.1_eps0.9.txt"),
+    ], ids=["text", "json", "bec-bsc-eps0.9"])
+    def test_matches_golden_file(self, capsys, source, argv, golden):
+        data = Path(__file__).parent / "data"
+        assert main(["eval", "--source", str(source), "--scheme",
+                     str(data / "scheme_alpha0.031_beta0.05.txt"), *argv]) == EXIT_OK
+        assert capsys.readouterr().out == (data / golden).read_bytes().decode()
+
     def test_missing_file_is_input_error(self, scheme_file, capsys):
         code = main(["eval", "--source", "/nonexistent", "--scheme", scheme_file])
         assert code == EXIT_INPUT
@@ -317,6 +331,16 @@ class TestClassify:
         path = Path(__file__).parent / "data" / golden
         assert capsys.readouterr().out == path.read_bytes().decode()
 
+    def test_out_of_memory_is_resource_error(self, source_file, capsys, monkeypatch):
+        def out_of_memory(source):
+            raise MemoryError("Unable to allocate 21.0 GiB for an array")
+
+        monkeypatch.setattr("secrd.ordering.classify_source", out_of_memory)
+        assert main(["classify", "--source", source_file]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 21.0 GiB for an array\n"
+        assert captured.out == ""
+
     def test_solver_failure_is_resource_error(self, source_file, capsys, monkeypatch):
         monkeypatch.setattr("secrd.ordering.MAX_PIVOTS", 0)
         assert main(["classify", "--source", source_file]) == EXIT_RESOURCE
@@ -473,6 +497,15 @@ def test_readme_file_examples_parse(tmp_path, capsys):
     assert main(["classify", "--source", str(source)]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("R=") and out[1].startswith("degraded=")
+
+
+@pytest.mark.parametrize("heading, name", [
+    ("**Source file**", "source_p0.1_eps0.469.txt"),
+    ("**Scheme file**", "scheme_alpha0.031_beta0.05.txt"),
+], ids=["source", "scheme"])
+def test_readme_file_examples_are_the_eval_golden_inputs(heading, name):
+    path = Path(__file__).parent / "data" / name
+    assert _readme_example(heading) == path.read_text()
 
 
 class TestConfigFile:

@@ -36,6 +36,8 @@ from secrd.probs import (
     bsc,
     bec,
     compose,
+    joint_from,
+    mutual_information,
 )
 from secrd.region import MAX_GRID_CHANNELS, SecureSource, _channel_grid
 
@@ -222,6 +224,18 @@ class TestMoreCapable:
         assert is_more_capable(below) == (True, False)
         assert is_more_capable(above) == (False, True)
 
+    def test_matches_the_mutual_information_comparison(self):
+        # H(A|E) >= H(A|B) exactly when I(A;B) >= I(A;E); every fifth source
+        # is symmetric in B and E, a tie
+        rng = np.random.default_rng(0)
+        for i in range(200):
+            source = _random_source(rng, tuple(int(k) for k in rng.integers(2, 4, size=3)))
+            if i % 5 == 4:
+                mass = source.p_abe[:, :2, :2] + source.p_abe[:, :2, :2].transpose(0, 2, 1)
+                source = _source("ABE", mass / mass.sum(), mass.shape)
+            iab, iae = (mutual_information(source.joint, "A", y) for y in "BE")
+            assert is_more_capable(source) == (iab >= iae - FEAS_TOL, iae >= iab - FEAS_TOL)
+
 
 class TestClassify:
     def test_thresholds_at_p01(self):
@@ -278,6 +292,21 @@ class TestLessNoisySearch:
         src = build_source(BecBscParams(0.1, 0.30))
         tag, _ = less_noisy_search(src, resolution=40)
         assert tag == "no-violation"
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (3, 2, 3)], ids=["binary", "ternary"])
+    def test_gap_is_the_mutual_information_difference(self, shape):
+        # H(U|B) - H(U|E) is I(U;E) - I(U;B), as the general measures give it
+        rng = np.random.default_rng(sum(shape))
+        u_alph = Alphabet(("u0", "u1"))
+        for _ in range(3):
+            source = _random_source(rng, shape)
+            channels, gap = ordering._less_noisy_gap(source, 4)
+            for rows, value in zip(channels, gap):
+                joint = joint_from(source.joint, [
+                    ("U", ConditionalPmf(source.a_alphabet, u_alph, rows), "A")])
+                want = (mutual_information(joint, "U", "E")
+                        - mutual_information(joint, "U", "B"))
+                assert value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("kwargs", [{"resolution": 0}, {"resolution": -2}])
     def test_rejects_empty_grids(self, kwargs):
@@ -337,6 +366,11 @@ def _source(order, mass, shape):
     joint = JointPmf(tuple((name, alphabets[name]) for name in order),
                      np.transpose(mass, ["ABE".index(name) for name in order]))
     return SecureSource(joint, 1.0 - np.eye(shape[0]))
+
+
+def _random_source(rng, shape):
+    """A source with a Dirichlet joint p(a, b, e); every p(a) is positive."""
+    return _source("ABE", rng.dirichlet(np.ones(int(np.prod(shape)))), shape)
 
 
 BEC_BSC_MASS = [0.045, 0.005, 0.405, 0.045, 0, 0, 0, 0, 0.045, 0.405, 0.005, 0.045]

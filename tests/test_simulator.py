@@ -452,6 +452,15 @@ class TestBatchCalls:
             assert _bits(book.decode(msg_ids[one], b_seqs[one])) == _bits(pairs[one])
             assert _bits(exact_equivocation(book, msg_ids[one], e_seqs[one])) == _bits(eqs[one])
 
+    def test_empty_batch_returns_empty_arrays(self):
+        src, aux = canonical()
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=0))
+        ids, rows = np.zeros(0, dtype=np.int64), np.zeros((0, 6), dtype=np.int64)
+        pairs, eqs = book.decode(ids, rows), exact_equivocation(book, ids, rows)
+        assert (pairs.shape, pairs.dtype) == ((0,), np.int64)
+        assert (eqs.shape, eqs.dtype) == ((0,), np.float64)
+
     def test_run_trials_calls_each_kernel_once_per_chunk(self, monkeypatch):
         # perfbench times the simulator's trials through these two names
         src, aux = canonical()
