@@ -12,6 +12,7 @@ and reports a certified inner bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Sequence
@@ -157,7 +158,9 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     costs = np.swapaxes(p_abv, -1, -3) @ d  # costs[..., v, b, ahat]
     if recon is None:
         recon = costs.argmin(axis=-1)
-    dist = np.take_along_axis(costs, recon[..., None], axis=-1).sum(axis=(-3, -2, -1))
+        dist = costs.min(axis=-1).sum(axis=(-2, -1))
+    else:
+        dist = np.take_along_axis(costs, recon[..., None], axis=-1).sum(axis=(-3, -2, -1))
     w = v @ u  # the composite channel A -> U
     p_abu = p_ab[:, :, None] * w[..., :, None, :]
     p_aeu = p_abe.sum(axis=1)[:, :, None] * w[..., :, None, :]
@@ -165,8 +168,13 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     rate = np.maximum(0.0, information(p_ab, "AB", "A", given="B") - h_a_bv)
     delta = (h_a_bv + information(p_aeu, "AEU", "A", given="EU")
              - information(p_abu, "ABU", "A", given="BU"))
-    return (np.broadcast_to(rate, delta.shape), np.broadcast_to(dist, delta.shape), delta,
-            np.broadcast_to(recon, delta.shape + recon.shape[-2:]))
+    return (_broadcast(rate, delta.shape), _broadcast(dist, delta.shape), delta,
+            _broadcast(recon, delta.shape + recon.shape[-2:]))
+
+
+def _broadcast(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """`x` itself if it has `shape`, else a read-only view broadcast to it."""
+    return x if x.shape == shape else np.broadcast_to(x, shape)
 
 
 def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
@@ -226,9 +234,9 @@ def eve_less_noisy_bound(source: SecureSource, scheme: AuxScheme) -> RDETuple:
 
 # ---------------------------------------------------------------------------
 # Boundary search: a coarse grid over channel parameters, evaluated once per
-# sweep, then coordinate-wise local refinement with step halving. The result
-# is a certified inner bound; every reported tuple is achievable by its
-# stored scheme.
+# sweep, then coordinate-wise local refinement with step halving, one kernel
+# call per improvement, replaying the step order. The result is a certified
+# inner bound; every reported tuple is achievable by its stored scheme.
 # ---------------------------------------------------------------------------
 
 
@@ -241,6 +249,10 @@ class SearchConfig:
     rate_budget: float | None = None
 
     def __post_init__(self):
+        for name, low in (("v_size", 1), ("u_size", 1), ("grid_resolution", 1),
+                          ("refine_rounds", 0)):
+            if not getattr(self, name) >= low:  # also false for NaN
+                raise InvalidArgument(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.rate_budget is not None and not self.rate_budget >= 0.0:
             raise InvalidArgument(f"rate budget must be >= 0, got {self.rate_budget}")
 
@@ -280,22 +292,53 @@ def _channel_grid(n_in: int, n_out: int, resolution: int) -> np.ndarray:
     return rows[all_words(len(rows), n_in)]
 
 
-def _row_moves(rows: np.ndarray, step: float) -> np.ndarray:
-    """Neighbor matrices: move `step` mass between two entries of one row."""
-    n_in, n_out = rows.shape
-    moves = []
-    for i, j, k in product(range(n_in), range(n_out), range(n_out)):
-        if j != k and rows[i, k] >= step:
-            new = rows.copy()
-            new[i, k] -= step
-            new[i, j] += step
-            moves.append(new)
-    return np.array(moves).reshape(-1, n_in, n_out)
+@lru_cache(maxsize=None)
+def _moves(v_shape: tuple, u_shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move of unit mass between two entries of one row of the V or the
+    U channel: V moves then U moves, each row-major over (row, to, from) with
+    to != from.
+
+    Returns the moves as +1 at (row, to) and -1 at (row, from) of the moved
+    channel and zero elsewhere, shapes (moves, *v_shape) and (moves,
+    *u_shape), and the index of each move's (row, from) entry in the V and
+    then the U rows, flattened and concatenated.
+    """
+    shapes = (v_shape, u_shape)
+    moves = [(c, row, to, frm) for c, (n_in, n_out) in enumerate(shapes)
+             for row, to, frm in product(range(n_in), range(n_out), range(n_out))
+             if to != frm]
+    shifts = tuple(np.zeros((len(moves), *shape)) for shape in shapes)
+    for m, (c, row, to, frm) in enumerate(moves):
+        shifts[c][m, row, to], shifts[c][m, row, frm] = 1.0, -1.0
+    sources = [c * np.prod(v_shape) + row * shapes[c][1] + frm for c, row, _, frm in moves]
+    cached = (*shifts, np.array(sources, dtype=np.intp))
+    for a in cached:  # shared by every caller
+        a.flags.writeable = False
+    return cached
+
+
+def _neighbors(v_rows: np.ndarray, u_rows: np.ndarray,
+               steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (V, U) rows that one move of each step makes, as one batch of blocks
+    in step order, and each block's size. A block holds the moves of `_moves`
+    in order, the other channel's rows kept, less each move whose `from`
+    entry holds under the step."""
+    dv, du, sources = _moves(v_rows.shape, u_rows.shape)
+    ok = np.concatenate([v_rows.ravel(), u_rows.ravel()])[sources] >= steps[:, None]
+    col = steps[:, None, None, None]
+    return (v_rows + col * dv)[ok], (u_rows + col * du)[ok], ok.sum(axis=1)
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
     """Channel rows scaled to sum to 1, as ConditionalPmf scales them."""
     return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _scored(source: SecureSource, score, v: np.ndarray, u: np.ndarray) -> tuple:
+    """(v, u, R, D, Delta, recon, score) of candidates, their rows normalized."""
+    v, u = _normalized(v), _normalized(u)
+    found = rde_batch(source.p_abe, source.distortion, v, u)
+    return (v, u, *found, score(*found[:3]))
 
 
 def _coarse_grid(source: SecureSource, config: SearchConfig) -> tuple:
@@ -327,42 +370,42 @@ def _search(source: SecureSource, score, config: SearchConfig, coarse: tuple,
     seeds, moves. A batch's first maximum replaces the best when it is
     feasible and either nothing is kept yet or it beats the best by more
     than 1e-15, so the search is deterministic.
+
+    Refinement moves one step of mass within one channel row, the step
+    halving from 1/grid_resolution once per round while no move improves.
+    It makes one kernel call per improvement, replaying the step order: the
+    call holds the moves of every step still to come as blocks in step
+    order, and the first block that improves sets the new best, from which
+    the next call starts at that same step.
     """
     best = None  # (score, v rows, u rows, reconstruction, (R, D, Delta))
 
-    def consider(v, u, rate, dist, delta, recon):
+    def consider(v, u, rate, dist, delta, recon, scores):
         nonlocal best
-        scores = score(rate, dist, delta)
-        if not scores.size:  # no moves when |V| = 1 or |U| = 1
-            return
         i = int(np.argmax(scores))
         if scores[i] > -np.inf and (best is None or scores[i] > best[0] + 1e-15):
             best = (float(scores[i]), v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
 
-    def evaluate(v, u):
-        v, u = _normalized(v), _normalized(u)
-        consider(v, u, *rde_batch(source.p_abe, source.distortion, v, u))
-
-    consider(*coarse)
+    consider(*coarse, score(*coarse[2:5]))
     if seeds:
-        evaluate(np.array([s.v_channel.rows for s in seeds]),
-                 np.array([s.u_channel.rows for s in seeds]))
+        consider(*_scored(source, score, np.array([s.v_channel.rows for s in seeds]),
+                          np.array([s.u_channel.rows for s in seeds])))
     if best is None:
         return None
 
-    # Coordinate-wise refinement with step halving; each sweep of neighbor
-    # moves around the current best is one batch.
-    step = 1.0 / config.grid_resolution
-    for _ in range(config.refine_rounds):
-        while True:
-            before, v_rows, u_rows = best[:3]
-            v_moves, u_moves = _row_moves(v_rows, step), _row_moves(u_rows, step)
-            nv, nu = len(v_moves), len(u_moves)
-            evaluate(np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]),
-                     np.concatenate([np.broadcast_to(u_rows, (nv, *u_rows.shape)), u_moves]))
-            if best[0] <= before + 1e-15:
-                break
-        step /= 2.0
+    steps = 1.0 / config.grid_resolution / 2.0 ** np.arange(config.refine_rounds)
+    while len(steps):
+        v, u, counts = _neighbors(best[1], best[2], steps)
+        batch = _scored(source, score, v, u)
+        better = np.flatnonzero(batch[-1] > best[0] + 1e-15)
+        if not better.size:
+            break
+        ends = np.cumsum(counts)
+        k = int(np.searchsorted(ends, better[0], side="right"))  # the first block to improve
+        kept = best
+        consider(*(x[ends[k] - counts[k]:ends[k]] for x in batch))
+        # a NaN first maximum keeps the best, and its step is then done
+        steps = steps[k + (best is kept):]
     _, v_rows, u_rows, recon, (rate, dist, delta) = best
     v_alph = Alphabet(tuple(f"v{i}" for i in range(config.v_size)))
     u_alph = Alphabet(tuple(f"u{i}" for i in range(config.u_size)))

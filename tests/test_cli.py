@@ -416,7 +416,8 @@ class TestSweep:
           "--rate-budget", "0.376"], "sweep_p0.1_eps0.469_budget0.376.csv"),
         (["--p", "0.1", "--eps", "0.7", "--rate-budget", "0.5"],
          "sweep_p0.1_eps0.7_budget0.5.csv"),
-    ], ids=["defaults", "readme", "budget-before-clamp"])
+        (["--p", "0.3", "--eps", "1.0", "--grid", "16"], "sweep_p0.3_eps1_grid16.csv"),
+    ], ids=["defaults", "readme", "budget-before-clamp", "short-of-delta-star"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as the search printed them when it evaluated the coarse grid per search
         assert main(["sweep", *argv]) == EXIT_OK

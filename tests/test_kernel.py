@@ -20,6 +20,7 @@ from secrd.probs import (
 )
 from secrd.region import (
     AuxScheme,
+    SearchConfig,
     SecureSource,
     best_reconstruction,
     evaluate_scheme,
@@ -127,6 +128,23 @@ def _bits(a):
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
+def test_optimal_map_distortion_is_bitwise_its_gathered_cost():
+    """Without a map, D sums each (v, b) pair's least cost, exactly as the
+    returned map's gathered costs sum."""
+    rng = np.random.default_rng(20101020)
+    for _ in range(60):
+        source = _random_source(rng)
+        na = len(source.a_alphabet)
+        for nv, nu in product(range(1, 4), repeat=2):
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            v = np.array([_stochastic(rng, na, nv) for _ in range(m)])
+            u = np.array([_stochastic(rng, nv, nu) for _ in range(n)])
+            for vb, ub in ((v[:, None], u[None]), (v, u[:1].repeat(m, axis=0))):
+                _, dist, _, recon = rde_batch(source.p_abe, source.distortion, vb, ub)
+                gathered = rde_batch(source.p_abe, source.distortion, vb, ub, recon)[1]
+                assert _bits(dist) == _bits(np.ascontiguousarray(gathered))
+
+
 def test_product_form_matches_paired_rows():
     """v[:, None] with u[None] is bitwise the K = M * N row call, V channel major."""
     rng = np.random.default_rng(20101118)
@@ -162,7 +180,11 @@ def test_sweep_evaluates_the_coarse_grid_once(monkeypatch):
     assert len(curve.points) == len(budgets)
     grid = 49 * 49  # resolution 6: 7 rows per binary channel row, two rows each
     assert sizes[0] == grid and sizes.count(grid) == 1
-    assert max(sizes[1:]) <= 8  # seeds and neighbor moves only
+    # Seeds and neighbor moves only: a refinement call holds at most the 8
+    # moves of each remaining step, one call per improvement (65 calls here,
+    # where one call per step made 169).
+    assert max(sizes[1:]) <= 8 * SearchConfig().refine_rounds
+    assert len(sizes) <= 65
 
 
 def _violation(source, rows):

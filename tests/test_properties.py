@@ -1,5 +1,9 @@
 """Region invariants on random sources and schemes (property-based)."""
 
+from itertools import product
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from secrd.binary import BinaryScheme, build_source, closed_form, delta_star, sweep_curve
 from secrd.ordering import BecBscParams
+from secrd import region
 from secrd.probs import (
     Alphabet,
     ConditionalPmf,
@@ -16,9 +21,11 @@ from secrd.probs import (
 )
 from secrd.region import (
     AuxScheme,
+    RDETuple,
     SearchConfig,
     SecureSource,
     best_reconstruction,
+    cardinality_caps,
     evaluate_scheme,
     sweep_boundary,
 )
@@ -97,6 +104,157 @@ def test_sweep_points_are_their_schemes_tuples(source, nv, nu, resolution, round
         assert tup.distortion <= d_budget + 1e-12
         assert tuple(tup) == pytest.approx(tuple(evaluate_scheme(source, scheme)),
                                            abs=1e-12)
+
+
+def _row_moves(rows, step):
+    """Neighbor matrices: move `step` mass between two entries of one row."""
+    n_in, n_out = rows.shape
+    moves = []
+    for i, j, k in product(range(n_in), range(n_out), range(n_out)):
+        if j != k and rows[i, k] >= step:
+            new = rows.copy()
+            new[i, k] -= step
+            new[i, j] += step
+            moves.append(new)
+    return np.array(moves).reshape(-1, n_in, n_out)
+
+
+def _search_one_step_per_call(source, score, config, coarse, seeds=()):
+    """The boundary search with one kernel call per refinement step, as the
+    batched refinement of `region._search` must replay it."""
+    best = None
+
+    def consider(v, u, rate, dist, delta, recon):
+        nonlocal best
+        scores = score(rate, dist, delta)
+        if not scores.size:
+            return
+        i = int(np.argmax(scores))
+        if scores[i] > -np.inf and (best is None or scores[i] > best[0] + 1e-15):
+            best = (float(scores[i]), v[i], u[i], recon[i], (rate[i], dist[i], delta[i]))
+
+    def evaluate(v, u):
+        v, u = region._normalized(v), region._normalized(u)
+        consider(v, u, *region.rde_batch(source.p_abe, source.distortion, v, u))
+
+    consider(*coarse)
+    if seeds:
+        evaluate(np.array([s.v_channel.rows for s in seeds]),
+                 np.array([s.u_channel.rows for s in seeds]))
+    if best is None:
+        return None
+    step = 1.0 / config.grid_resolution
+    for _ in range(config.refine_rounds):
+        while True:
+            before, v_rows, u_rows = best[:3]
+            v_moves, u_moves = _row_moves(v_rows, step), _row_moves(u_rows, step)
+            nv, nu = len(v_moves), len(u_moves)
+            evaluate(np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]),
+                     np.concatenate([np.broadcast_to(u_rows, (nv, *u_rows.shape)), u_moves]))
+            if best[0] <= before + 1e-15:
+                break
+        step /= 2.0
+    _, v_rows, u_rows, recon, (rate, dist, delta) = best
+    v_alph = _labels("v", config.v_size)
+    u_alph = _labels("u", config.u_size)
+    v_channel = ConditionalPmf(source.a_alphabet, v_alph, v_rows)
+    scheme = AuxScheme(v_channel, ConditionalPmf(v_alph, u_alph, u_rows), recon)
+    return scheme, RDETuple(float(rate), float(dist), max(0.0, float(delta)))
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 6), st.data())
+def test_neighbors_are_the_one_step_moves_of_each_step(n_a, n_v, n_u, resolution,
+                                                       rounds, data):
+    # grid rows hold entries equal to the first step, which a move may empty
+    v_grid = region._channel_grid(n_a, n_v, resolution)
+    u_grid = region._channel_grid(n_v, n_u, resolution)
+    v_rows = v_grid[data.draw(st.integers(0, len(v_grid) - 1))]
+    u_rows = u_grid[data.draw(st.integers(0, len(u_grid) - 1))]
+    steps = 1.0 / resolution / 2.0 ** np.arange(rounds)
+    v, u, counts = region._neighbors(v_rows, u_rows, steps)
+    ends = np.cumsum(counts)
+    for step, lo, hi in zip(steps, ends - counts, ends):
+        v_moves, u_moves = _row_moves(v_rows, step), _row_moves(u_rows, step)
+        nv, nu = len(v_moves), len(u_moves)
+        assert _bits(v[lo:hi]) == _bits(
+            np.concatenate([v_moves, np.broadcast_to(v_rows, (nu, *v_rows.shape))]))
+        assert _bits(u[lo:hi]) == _bits(
+            np.concatenate([np.broadcast_to(u_rows, (nv, *u_rows.shape)), u_moves]))
+    assert ends[-1] == len(v) == len(u)
+
+
+@st.composite
+def search_cases(draw):
+    """A source and a search config whose coarse grid stays small."""
+    source = draw(sources())
+    na = len(source.a_alphabet)
+    u_cap, v_cap = cardinality_caps(source)
+    nv, nu = draw(st.integers(1, min(3, v_cap))), draw(st.integers(1, min(3, u_cap)))
+    resolutions = [r for r in range(1, 5)
+                   if comb(r + nv - 1, nv - 1) ** na * comb(r + nu - 1, nu - 1) ** nv
+                   <= 8000]
+    config = SearchConfig(v_size=nv, u_size=nu,
+                          grid_resolution=draw(st.sampled_from(resolutions)),
+                          refine_rounds=draw(st.integers(0, 8)),
+                          rate_budget=draw(st.sampled_from([None, 0.0, 0.3, 0.8])))
+    budgets = draw(st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
+    return source, config, budgets
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(search_cases())
+def test_batched_refinement_replays_one_step_per_call(case):
+    source, config, budgets = case
+    with mock.patch.object(region, "_search", _search_one_step_per_call):
+        want = sweep_boundary(source, budgets, config).points
+    got = sweep_boundary(source, budgets, config).points
+    assert len(got) == len(want)
+    for (d_got, tup_got, s_got), (d_want, tup_want, s_want) in zip(got, want):
+        assert _bits(d_got, *tup_got) == _bits(d_want, *tup_want)
+        assert _bits(s_got.v_channel.rows, s_got.u_channel.rows, s_got.reconstruction) == \
+            _bits(s_want.v_channel.rows, s_want.u_channel.rows, s_want.reconstruction)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(search_cases(), st.integers(2, 5))
+def test_refinement_replays_nan_first_maxima(case, modulus):
+    # A block whose first maximum is NaN keeps the best even when a later
+    # move beats it; the step is then done, and the batched loop must move on.
+    source, config, budgets = case
+    coarse = region._coarse_grid(source, config)
+
+    def score(rate, dist, delta):
+        fresh = ~np.isin(dist, coarse[3])  # the grid stays NaN-free, so a best exists
+        spoiled = fresh & (np.floor(dist * 1e7) % modulus == 0)
+        return np.where(spoiled, np.nan, np.where(dist <= budgets[0] + 1e-12, delta, -np.inf))
+
+    calls = []
+    kernel = region.rde_batch
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError("refinement did not terminate")
+        return kernel(*args)
+
+    limit = np.inf
+    with mock.patch.object(region, "rde_batch", counted):
+        want = _search_one_step_per_call(source, score, config, coarse)
+        limit, calls[:] = len(calls) + config.refine_rounds, []  # one extra call per kept step
+        got = region._search(source, score, config, coarse)
+    if want is None:
+        assert got is None
+        return
+    (s_got, tup_got), (s_want, tup_want) = got, want
+    assert _bits(*tup_got) == _bits(*tup_want)
+    assert _bits(s_got.v_channel.rows, s_got.u_channel.rows, s_got.reconstruction) == \
+        _bits(s_want.v_channel.rows, s_want.u_channel.rows, s_want.reconstruction)
 
 
 @SETTINGS

@@ -312,6 +312,16 @@ class TestBoundarySearch:
         with pytest.raises(InvalidArgument, match="rate budget"):
             SearchConfig(rate_budget=budget)
 
+    @pytest.mark.parametrize("field, value", [
+        ("v_size", 0), ("u_size", 0), ("grid_resolution", 0), ("v_size", -1),
+        ("refine_rounds", -2), ("refine_rounds", -5), ("grid_resolution", float("nan")),
+    ])
+    def test_invalid_search_sizes_are_rejected(self, field, value):
+        # sizes and resolution once failed only inside _channel_grid, and a
+        # negative round count silently returned the coarse-grid point
+        with pytest.raises(InvalidArgument, match=field):
+            SearchConfig(**{field: value})
+
     def test_search_keeps_a_batchs_first_maximum_by_more_than_1e_15(self):
         src = build_source(PARAMS)
         cfg = SearchConfig(refine_rounds=0)
