@@ -54,7 +54,7 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     """Config-file values as defaults for the subcommand parser `sub`.
 
     Values stay strings, so argparse applies each option's `type` when it
-    re-parses; a store_true flag is on for 1/true/yes.
+    re-parses; a store_true flag is on for 1/true/yes and off for 0/false/no.
     """
     actions = {a.dest: a for a in sub._actions
                if a.option_strings and a.dest not in ("help", "config")}
@@ -64,7 +64,11 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
         if action is None:
             raise ParseError(f"unknown config key {key!r}")
         if action.nargs == 0:
-            val = val.lower() in ("1", "true", "yes")
+            on, off = ("1", "true", "yes"), ("0", "false", "no")
+            if val.lower() not in on + off:
+                raise ParseError(f"config key {key!r}: {val!r} is not one of "
+                                 f"{', '.join(on + off)}")
+            val = val.lower() in on
         elif action.choices is not None and val not in action.choices:
             raise ParseError(f"config key {key!r}: {val!r} is not one of "
                              f"{', '.join(action.choices)}")

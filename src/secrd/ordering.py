@@ -166,15 +166,13 @@ def is_degraded(first: ConditionalPmf,
 
 
 def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]:
-    """The conditionals p(b|a) and p(e|a) extracted from the source joint."""
-    p_abe = source.p_abe
-    pa = p_abe.sum(axis=(1, 2))[:, None]
-    if np.any(pa <= 0):
-        raise InvalidArgument("side channels undefined for zero-mass A symbols")
-    return (
-        ConditionalPmf(source.a_alphabet, source.b_alphabet, p_abe.sum(axis=2) / pa),
-        ConditionalPmf(source.a_alphabet, source.e_alphabet, p_abe.sum(axis=1) / pa),
-    )
+    """The conditionals p(b|a) and p(e|a) of the source, on the letters of A
+    with p(a) > 0; the orderings, like the region, depend on p(a) only
+    through its support."""
+    keep = source.p_a > 0
+    a = Alphabet(tuple(s for s, k in zip(source.a_alphabet.symbols, keep) if k))
+    return (ConditionalPmf(a, source.b_alphabet, source.b_given_a[keep]),
+            ConditionalPmf(a, source.e_alphabet, source.e_given_a[keep]))
 
 
 def is_more_capable(source: SecureSource) -> tuple[bool, bool]:
@@ -225,9 +223,8 @@ def _less_noisy_gap(source: SecureSource, resolution: int) -> tuple[np.ndarray, 
     """(channels, I(U;E) - I(U;B) = H(U|B) - H(U|E)) for every A -> U channel
     of the lattice, U binary."""
     channels = _channel_grid(len(source.a_alphabet), 2, resolution)
-    p_ba, p_ea = source.p_abe.sum(axis=2).T, source.p_abe.sum(axis=1).T
-    return channels, (information(p_ba @ channels, "BU", "U", given="B")
-                      - information(p_ea @ channels, "EU", "U", given="E"))
+    return channels, (information(source.p_ab.T @ channels, "BU", "U", given="B")
+                      - information(source.p_ae.T @ channels, "EU", "U", given="E"))
 
 
 def less_noisy_search(source: SecureSource, resolution: int = LESS_NOISY_RESOLUTION):

@@ -36,7 +36,13 @@ from .probs import (
 
 @dataclass(frozen=True)
 class SecureSource:
-    """Joint p(a,b,e) with a bounded distortion matrix d(a, a_hat)."""
+    """Joint p(a,b,e) with a bounded distortion matrix d(a, a_hat).
+
+    Construction also fixes, read-only, the arrays every layer reads:
+    `p_abe`, the mass with its axes in (A, B, E) order; its marginals
+    `p_ab`, `p_ae` and `p_a`; the side channels `b_given_a` and `e_given_a`,
+    a row of zeros for a letter with p(a) = 0; and `h_a_b` = H(A|B).
+    """
 
     joint: JointPmf
     distortion: np.ndarray = field(compare=False)
@@ -51,8 +57,15 @@ class SecureSource:
             raise InvalidArgument(f"d_max must be finite, got {self.d_max}")
         if not np.all((d >= 0) & (d <= self.d_max)):  # also false for NaN
             raise InvalidArgument("distortion entries must lie in [0, d_max]")
-        d.setflags(write=False)
-        object.__setattr__(self, "distortion", d)
+        p_abe = np.transpose(self.joint.mass, [self.joint.names.index(n) for n in "ABE"])
+        p_ab, p_ae, p_a = p_abe.sum(axis=2), p_abe.sum(axis=1), p_abe.sum(axis=(1, 2))
+        given_a = np.where(p_a > 0, p_a, 1.0)[:, None]
+        arrays = dict(distortion=d, p_abe=p_abe, p_ab=p_ab, p_ae=p_ae, p_a=p_a,
+                      b_given_a=p_ab / given_a, e_given_a=p_ae / given_a)
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "h_a_b", float(information(p_ab, "AB", "A", given="B")))
 
     @property
     def a_alphabet(self) -> Alphabet:
@@ -65,11 +78,6 @@ class SecureSource:
     @property
     def e_alphabet(self) -> Alphabet:
         return self.joint.alphabet("E")
-
-    @property
-    def p_abe(self) -> np.ndarray:
-        """The joint mass with its axes in (A, B, E) order."""
-        return np.transpose(self.joint.mass, [self.joint.names.index(n) for n in "ABE"])
 
 
 def cardinality_caps(source: SecureSource) -> tuple[int, int]:
@@ -138,11 +146,12 @@ def materialize(source: SecureSource, scheme: AuxScheme) -> JointPmf:
     )
 
 
-def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
+def rde_batch(source: SecureSource, v: np.ndarray, u: np.ndarray,
               recon: np.ndarray | None = None):
-    """(R, D, Delta, recon) of a batch of schemes, as `evaluate_scheme` defines
-    them but with Delta = H(A|VB) + H(A|EU) - H(A|BU), the shared H(A|U)
-    cancelled, before the positive part, so a search can climb it.
+    """(R, D, Delta, recon) of a batch of schemes on `source`, as
+    `evaluate_scheme` defines them but with Delta = H(A|VB) + H(A|EU) -
+    H(A|BU), the shared H(A|U) cancelled, before the positive part, so a
+    search can climb it. The terms of the source alone are the source's own.
 
     `v[..., :, :]` holds |A| x |V| and `u[..., :, :]` |V| x |U| channel rows,
     and `recon[..., :, :]` |V| x |B| reconstruction maps; their leading batch
@@ -153,19 +162,18 @@ def rde_batch(p_abe: np.ndarray, d: np.ndarray, v: np.ndarray, u: np.ndarray,
     symbol index, and zero-probability (v, b) pairs map to 0. Every output
     has the broadcast batch shape (plus |V| x |B| for the map).
     """
-    p_ab = p_abe.sum(axis=2)
-    p_abv = p_ab[:, :, None] * v[..., :, None, :]
-    costs = np.swapaxes(p_abv, -1, -3) @ d  # costs[..., v, b, ahat]
+    p_abv = source.p_ab[:, :, None] * v[..., :, None, :]
+    costs = np.swapaxes(p_abv, -1, -3) @ source.distortion  # costs[..., v, b, ahat]
     if recon is None:
         recon = costs.argmin(axis=-1)
         dist = costs.min(axis=-1).sum(axis=(-2, -1))
     else:
         dist = np.take_along_axis(costs, recon[..., None], axis=-1).sum(axis=(-3, -2, -1))
     w = v @ u  # the composite channel A -> U
-    p_abu = p_ab[:, :, None] * w[..., :, None, :]
-    p_aeu = p_abe.sum(axis=1)[:, :, None] * w[..., :, None, :]
+    p_abu = source.p_ab[:, :, None] * w[..., :, None, :]
+    p_aeu = source.p_ae[:, :, None] * w[..., :, None, :]
     h_a_bv = information(p_abv, "ABV", "A", given="BV")
-    rate = np.maximum(0.0, information(p_ab, "AB", "A", given="B") - h_a_bv)
+    rate = np.maximum(0.0, source.h_a_b - h_a_bv)
     delta = (h_a_bv + information(p_aeu, "AEU", "A", given="EU")
              - information(p_abu, "ABU", "A", given="BU"))
     return (_broadcast(rate, delta.shape), _broadcast(dist, delta.shape), delta,
@@ -185,9 +193,8 @@ def evaluate_scheme(source: SecureSource, scheme: AuxScheme) -> RDETuple:
     here to the `rde_batch` value.
     """
     scheme.check_fits(source)
-    rate, dist, delta, _ = rde_batch(
-        source.p_abe, source.distortion, scheme.v_channel.rows[None],
-        scheme.u_channel.rows[None], scheme.reconstruction[None])
+    rate, dist, delta, _ = rde_batch(source, scheme.v_channel.rows[None],
+                                     scheme.u_channel.rows[None], scheme.reconstruction[None])
     return RDETuple(float(rate[0]), float(dist[0]), max(0.0, float(delta[0])))
 
 
@@ -200,7 +207,7 @@ def best_reconstruction(source: SecureSource, v_channel: ConditionalPmf) -> np.n
     if v_channel.input != source.a_alphabet:
         raise InvalidArgument("v_channel input alphabet must match source A")
     u = np.ones((1, len(v_channel.output), 1))
-    return rde_batch(source.p_abe, source.distortion, v_channel.rows[None], u)[3][0]
+    return rde_batch(source, v_channel.rows[None], u)[3][0]
 
 
 def identity_scheme(source: SecureSource,
@@ -337,7 +344,7 @@ def _normalized(rows: np.ndarray) -> np.ndarray:
 def _scored(source: SecureSource, score, v: np.ndarray, u: np.ndarray) -> tuple:
     """(v, u, R, D, Delta, recon, score) of candidates, their rows normalized."""
     v, u = _normalized(v), _normalized(u)
-    found = rde_batch(source.p_abe, source.distortion, v, u)
+    found = rde_batch(source, v, u)
     return (v, u, *found, score(*found[:3]))
 
 
@@ -351,8 +358,7 @@ def _coarse_grid(source: SecureSource, config: SearchConfig) -> tuple:
                                        config.grid_resolution))
     u_grid = _normalized(_channel_grid(config.v_size, config.u_size,
                                        config.grid_resolution))
-    rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion,
-                                         v_grid[:, None], u_grid[None])
+    rate, dist, delta, recon = rde_batch(source, v_grid[:, None], u_grid[None])
     m, n = delta.shape
     return (np.repeat(v_grid, n, axis=0), np.tile(u_grid, (m, 1, 1)), rate.ravel(),
             dist.ravel(), delta.ravel(), recon.reshape(m * n, *recon.shape[2:]))

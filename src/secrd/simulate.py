@@ -82,7 +82,7 @@ class SimConfig:
 def _p_abvu(source: SecureSource, scheme: AuxScheme) -> np.ndarray:
     """p(a, b, v, u) = p(a, b) p(v | a) p(u | v), axes in that order."""
     scheme.check_fits(source)
-    p_abv = source.p_abe.sum(axis=2)[:, :, None] * scheme.v_channel.rows[:, None, :]
+    p_abv = source.p_ab[:, :, None] * scheme.v_channel.rows[:, None, :]
     return p_abv[..., None] * scheme.u_channel.rows
 
 
@@ -183,12 +183,9 @@ class Codebook:
         self.log_uv = _safe_log2(p_vu.T)
         self.log_a_given_v = _safe_log2((p_avu.sum(axis=2)
                                          / np.where(p_v > 0, p_v, 1.0)).T)
-        p_abe = self.source.p_abe
-        p_a = p_abe.sum(axis=(1, 2))
-        self.log_a = _safe_log2(p_a)
-        given_a = np.where(p_a > 0, p_a, 1.0)[:, None]
-        self.log_b_given_a = _safe_log2(p_abe.sum(axis=2) / given_a)
-        self.log_e_given_a = _safe_log2(p_abe.sum(axis=1) / given_a)
+        self.log_a = _safe_log2(self.source.p_a)
+        self.log_b_given_a = _safe_log2(self.source.b_given_a)
+        self.log_e_given_a = _safe_log2(self.source.e_given_a)
 
         m1, m2, n1, n2 = (_count(rate, cfg.n) for rate in
                           (cfg.rates.s1, cfg.rates.s2, cfg.rates.r1, cfg.rates.r2))
@@ -563,9 +560,8 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     codebook = Codebook(source, scheme, cfg)
     messages, enc_ok = codebook._encode_map, codebook._encode_ok
 
-    p_abe = source.p_abe
+    p_abe, p_a = source.p_abe, source.p_a
     na, nb, ne = p_abe.shape
-    p_a = p_abe.sum(axis=(1, 2))
     # the cdfs of p(a) and of p(b, e | a) per letter a, normalized as
     # Generator.choice does; the row of a letter with p(a) = 0 is never read
     cdf_a = p_a.cumsum()

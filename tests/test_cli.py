@@ -63,18 +63,20 @@ class TestEval:
         assert set(payload) == {"R", "D", "Delta"}
         assert payload["D"] >= 0.0
 
-    @pytest.mark.parametrize("source, argv, golden", [
-        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt", [],
-         "eval_p0.1_eps0.469.txt"),
-        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt", ["--format", "json"],
-         "eval_p0.1_eps0.469.json"),
-        (Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt", [],
-         "eval_p0.1_eps0.9.txt"),
-    ], ids=["text", "json", "bec-bsc-eps0.9"])
-    def test_matches_golden_file(self, capsys, source, argv, golden):
+    @pytest.mark.parametrize("source, scheme, argv, golden", [
+        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt",
+         "scheme_alpha0.031_beta0.05.txt", [], "eval_p0.1_eps0.469.txt"),
+        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt",
+         "scheme_alpha0.031_beta0.05.txt", ["--format", "json"], "eval_p0.1_eps0.469.json"),
+        (Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt",
+         "scheme_alpha0.031_beta0.05.txt", [], "eval_p0.1_eps0.9.txt"),
+        (Path(__file__).parent / "data/source_ternary_eab.txt",
+         "scheme_ternary_3_2_2.txt", [], "eval_ternary_eab.txt"),
+    ], ids=["text", "json", "bec-bsc-eps0.9", "ternary-eab"])
+    def test_matches_golden_file(self, capsys, source, scheme, argv, golden):
         data = Path(__file__).parent / "data"
         assert main(["eval", "--source", str(source), "--scheme",
-                     str(data / "scheme_alpha0.031_beta0.05.txt"), *argv]) == EXIT_OK
+                     str(data / scheme), *argv]) == EXIT_OK
         assert capsys.readouterr().out == (data / golden).read_bytes().decode()
 
     def test_missing_file_is_input_error(self, scheme_file, capsys):
@@ -323,7 +325,9 @@ class TestClassify:
          "classify_source_bec_bsc_p0.1_eps0.9.txt"),
         (["--p", "0.1", "--eps", "0.9"], "classify_p0.1_eps0.9.txt"),
         (["--p", "0.1", "--eps", "1"], "classify_p0.1_eps1.txt"),
-    ], ids=["source", "bec-bsc", "bec-bsc-eps1"])
+        (["--source", str(Path(__file__).parent / "data/source_ternary_eab.txt")],
+         "classify_source_ternary_eab.txt"),
+    ], ids=["source", "bec-bsc", "bec-bsc-eps1", "source-ternary-eab"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when the reverse less-noisy verdict came from a second
         # search on the source rebuilt with B and E swapped
@@ -550,6 +554,23 @@ class TestConfigFile:
         cfg.write_text("curve yes\ngrid 3\n")
         assert main(["binary", "--config", str(cfg), "--grid", "2"]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["0", "False", "no"])
+    def test_config_store_true_flag_off(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve {value}\n")
+        assert main(["binary", "--config", str(cfg)]) == EXIT_OK
+        path = Path(__file__).parent / "data" / "binary_p0.1_eps0.469.txt"
+        assert capsys.readouterr().out == path.read_bytes().decode()
+
+    @pytest.mark.parametrize("value", ["ture", "on", "2"])
+    def test_mistyped_on_off_value_is_input_error(self, tmp_path, capsys, value):
+        # a value other than 1/true/yes once turned the flag off silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve {value}\n")
+        assert main(["binary", "--config", str(cfg)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert repr(value) in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("line", ["p abc", "grid 1.5", "rate-budget x"])
     def test_badly_typed_config_value_is_usage_error(self, tmp_path, line):

@@ -109,7 +109,7 @@ def test_kernel_matches_jointpmf_path():
         nv, nu = (int(x) for x in rng.integers(1, 4, size=2))
         v = np.array([_stochastic(rng, na, nv) for _ in range(3)])
         u = np.array([_stochastic(rng, nv, nu) for _ in range(3)])
-        rate, dist, delta, recon = rde_batch(source.p_abe, source.distortion, v, u)
+        rate, dist, delta, recon = rde_batch(source, v, u)
         for k in range(3):
             want, scheme = _reference(source, v[k], u[k])
             got = (rate[k], dist[k], delta[k])
@@ -140,8 +140,8 @@ def test_optimal_map_distortion_is_bitwise_its_gathered_cost():
             v = np.array([_stochastic(rng, na, nv) for _ in range(m)])
             u = np.array([_stochastic(rng, nv, nu) for _ in range(n)])
             for vb, ub in ((v[:, None], u[None]), (v, u[:1].repeat(m, axis=0))):
-                _, dist, _, recon = rde_batch(source.p_abe, source.distortion, vb, ub)
-                gathered = rde_batch(source.p_abe, source.distortion, vb, ub, recon)[1]
+                _, dist, _, recon = rde_batch(source, vb, ub)
+                gathered = rde_batch(source, vb, ub, recon)[1]
                 assert _bits(dist) == _bits(np.ascontiguousarray(gathered))
 
 
@@ -159,8 +159,8 @@ def test_product_form_matches_paired_rows():
             maps = rng.integers(na, size=(m, nv, nb))
             for recon, recon_rows in ((None, None),
                                       (maps[:, None], np.repeat(maps, n, axis=0))):
-                got = rde_batch(source.p_abe, source.distortion, v[:, None], u[None], recon)
-                want = rde_batch(source.p_abe, source.distortion, v_rows, u_rows, recon_rows)
+                got = rde_batch(source, v[:, None], u[None], recon)
+                want = rde_batch(source, v_rows, u_rows, recon_rows)
                 for g, w in zip(got, want):
                     assert g.shape[:2] == (m, n)
                     assert _bits(g.reshape(w.shape)) == _bits(w)
@@ -170,9 +170,9 @@ def test_sweep_evaluates_the_coarse_grid_once(monkeypatch):
     sizes = []
     kernel = region.rde_batch
 
-    def counting(p_abe, d, v, u, recon=None):
+    def counting(source, v, u, recon=None):
         sizes.append(int(np.prod(np.broadcast_shapes(v.shape[:-2], u.shape[:-2]))))
-        return kernel(p_abe, d, v, u, recon)
+        return kernel(source, v, u, recon)
 
     monkeypatch.setattr(region, "rde_batch", counting)
     budgets = [0.05, 0.1, 0.15, 0.2]
@@ -185,6 +185,23 @@ def test_sweep_evaluates_the_coarse_grid_once(monkeypatch):
     # where one call per step made 169).
     assert max(sizes[1:]) <= 8 * SearchConfig().refine_rounds
     assert len(sizes) <= 65
+
+
+def test_rde_batch_reads_the_source_terms_off_the_source(monkeypatch):
+    # H(A|B) is fixed when the source is built, so a call computes only
+    # H(A|BV), H(A|EU) and H(A|BU); it once recomputed H(A|B) as a fourth
+    source = build_source(BecBscParams(0.1, 0.469))
+    calls = []
+    kernel = region.information
+
+    def counting(p, axes, *args, **kwargs):
+        calls.append(axes)
+        return kernel(p, axes, *args, **kwargs)
+
+    monkeypatch.setattr(region, "information", counting)
+    v = np.array([[[0.9, 0.1], [0.2, 0.8]]] * 8)
+    rde_batch(source, v, v[:, ::-1])
+    assert calls == ["ABV", "AEU", "ABU"]
 
 
 def _violation(source, rows):

@@ -1,6 +1,6 @@
 """Region invariants on random sources and schemes (property-based)."""
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from unittest import mock
 
@@ -59,8 +59,40 @@ def sources(draw):
     else:
         d = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=na * na,
                                    max_size=na * na))).reshape(na, na)
-    axes = tuple((n, _labels(n.lower(), k)) for n, k in zip("ABE", (na, nb, ne)))
+    order = draw(st.permutations("ABE"))  # the axis order the joint stores
+    sizes = dict(zip("ABE", (na, nb, ne)))
+    axes = tuple((n, _labels(n.lower(), sizes[n])) for n in order)
+    mass = np.transpose(mass, ["ABE".index(n) for n in order])
     return SecureSource(JointPmf(axes, mass / mass.sum()), d, d_max=1.0)
+
+
+@pytest.mark.parametrize("order", ["".join(o) for o in permutations("ABE")])
+def test_source_arrays_are_read_only_marginals_in_every_axis_order(order):
+    rng = np.random.default_rng(20101021)
+    sizes = {"A": 3, "B": 2, "E": 4}
+    mass = rng.dirichlet(np.ones(24)).reshape([sizes[n] for n in order])
+    mass[(slice(None),) * order.index("A") + (2,)] = 0.0  # p(a2) = 0
+    joint = JointPmf(tuple((n, _labels(n.lower(), sizes[n])) for n in order),
+                     mass / mass.sum())
+    source = SecureSource(joint, 1.0 - np.eye(3))
+    assert source == SecureSource(joint, np.ones((3, 3)))
+    assert hash(source) == hash(SecureSource(joint, np.ones((3, 3))))
+
+    def marginal(names):
+        m = joint.marginal(names)
+        return np.transpose(m.mass, [m.names.index(n) for n in names])
+
+    p_a = marginal("A")
+    given_a = np.where(p_a > 0, p_a, 1.0)[:, None]
+    want = {"p_abe": marginal("ABE"), "p_ab": marginal("AB"), "p_ae": marginal("AE"),
+            "p_a": p_a, "b_given_a": marginal("AB") / given_a,
+            "e_given_a": marginal("AE") / given_a, "distortion": 1.0 - np.eye(3)}
+    for name, array in want.items():
+        got = getattr(source, name)
+        assert not got.flags.writeable, name
+        np.testing.assert_allclose(got, array, rtol=0, atol=1e-12, err_msg=name)
+    assert not source.b_given_a[2].any() and not source.e_given_a[2].any()
+    assert source.h_a_b == pytest.approx(conditional_entropy(joint, "A", "B"), abs=1e-12)
 
 
 @st.composite
@@ -135,7 +167,7 @@ def _search_one_step_per_call(source, score, config, coarse, seeds=()):
 
     def evaluate(v, u):
         v, u = region._normalized(v), region._normalized(u)
-        consider(v, u, *region.rde_batch(source.p_abe, source.distortion, v, u))
+        consider(v, u, *region.rde_batch(source, v, u))
 
     consider(*coarse)
     if seeds:
