@@ -177,7 +177,7 @@ def side_channels(source: SecureSource) -> tuple[ConditionalPmf, ConditionalPmf]
 
 def is_more_capable(source: SecureSource) -> tuple[bool, bool]:
     """Compare I(A;B) against I(A;E) as H(A|E) against H(A|B); ties say yes both ways."""
-    h_a_b, h_a_e = (float(information(source.p_abe, "ABE", "A", given=y)) for y in "BE")
+    h_a_b, h_a_e = source.h_a_b, float(information(source.p_ae, "AE", "A", given="E"))
     return h_a_e >= h_a_b - FEAS_TOL, h_a_b >= h_a_e - FEAS_TOL
 
 
@@ -220,11 +220,13 @@ def classify_source(source: SecureSource) -> OrderingVerdict:
 
 
 def _less_noisy_gap(source: SecureSource, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """(channels, I(U;E) - I(U;B) = H(U|B) - H(U|E)) for every A -> U channel
-    of the lattice, U binary."""
-    channels = _channel_grid(len(source.a_alphabet), 2, resolution)
-    return channels, (information(source.p_ab.T @ channels, "BU", "U", given="B")
-                      - information(source.p_ae.T @ channels, "EU", "U", given="E"))
+    """(channels, I(U;E) - I(U;B) = H(U|B) - H(U|E)) for every channel of the
+    lattice from the letters of A with p(a) > 0 to a binary U; a letter with
+    p(a) = 0 cannot change the gap."""
+    keep = source.p_a > 0
+    channels = _channel_grid(int(keep.sum()), 2, resolution)
+    return channels, (information(source.p_ab[keep].T @ channels, "BU", "U", given="B")
+                      - information(source.p_ae[keep].T @ channels, "EU", "U", given="E"))
 
 
 def less_noisy_search(source: SecureSource, resolution: int = LESS_NOISY_RESOLUTION):
@@ -232,12 +234,14 @@ def less_noisy_search(source: SecureSource, resolution: int = LESS_NOISY_RESOLUT
 
     A binary U is parameterized by a channel A -> U (which enforces the
     Markov chain U - A - (B, E)); all row-stochastic matrices on a simplex
-    grid are tried. Returns ("counterexample", channel) when a violating U
-    is found, else ("no-violation", resolution) -- evidence, not proof.
+    grid are tried, on the letters with p(a) > 0. Returns ("counterexample",
+    channel) when a violating U is found, with the row (0, 1) for each letter
+    with p(a) = 0, else ("no-violation", resolution) -- evidence, not proof.
     """
     channels, violation = _less_noisy_gap(source, resolution)
     worst = int(np.argmax(violation))  # the first of equal maxima
     if violation[worst] > FEAS_TOL:
-        u_alph = Alphabet(("u0", "u1"))
-        return "counterexample", ConditionalPmf(source.a_alphabet, u_alph, channels[worst])
+        rows = np.tile([0.0, 1.0], (len(source.a_alphabet), 1))
+        rows[source.p_a > 0] = channels[worst]
+        return "counterexample", ConditionalPmf(source.a_alphabet, Alphabet(("u0", "u1")), rows)
     return "no-violation", resolution

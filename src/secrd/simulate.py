@@ -19,7 +19,7 @@ The auxiliaries form the chain U - V - A, so log p(a, v, u) = log p(u, v) +
 log p(a | v): a codeword's score on a source word is a weight of the
 codeword plus two tables over the halves of its v-word and of the source
 word. The encoder takes every word's best score in two (max, +) passes over
-those half-word tables rather than scoring each u-word's v-words in turn.
+those half-word tables, scoring each distinct codeword once.
 
 Trials run in chunks of bounded size, and `Codebook.decode` and
 `exact_equivocation` each take a whole chunk. Each message's preimage (the
@@ -233,112 +233,107 @@ class Codebook:
         word a, and each word gets the lowest codeword index whose score is
         within SCORE_TOL of the word's best. SCORE_TOL absorbs
         summation-order noise; the rule does not depend on the order in
-        which codewords are visited.
+        which codewords are visited. Equal codewords score alike, so only
+        the first copy of each (u-word, v-word) pair is scored.
 
         By the chain U - V - A the score is w(c) + GL[v-left, a-left] +
         GR[v-right, a-right]: w(c) sums log p(u_i, v_i), and GL and GR sum
         log p(a_i | v_i) over the first h and the last n - h letters, one row
         per distinct half of the v-words. The codewords are grouped by v-left
         half, and a group is cut into parts of at most 2 |A|^h codewords in
-        index order. Pass 1 takes, per group g, N[g, a-right] = the max over
-        g's codewords of w(c) + GR, and then every word's best, M = max over
-        g of GL[g] + N[g]. Pass 2 reads the codewords of only the (group,
-        word) pairs with GL + N within SCORE_TOL of M, and of those only the
-        ones where a running maximum of w(c) + GR over the group in index
-        order rises.
+        index order. Pass 1 takes, per part p, N[p, a-right] = the max over
+        p's codewords of w(c) + GR, and then every word's best, M = max over
+        p of GL[p] + N[p]. It keeps the codewords with w(c) + GR >= N -
+        2 SCORE_TOL - 8 eps (|N| + max |GL[p]|), eps float64's machine
+        epsilon. Every score is at most 0, so a codeword within SCORE_TOL
+        of M lies within SCORE_TOL of N plus the rounding of GL + (w + GR)
+        and of M - SCORE_TOL; the eps term bounds that rounding, which
+        matters where _LOG_FLOOR terms make scores near -1e30. Pass 2 reads
+        the kept codewords of only the (part, word) pairs with GL + N
+        within SCORE_TOL of M.
         """
         na, n = len(self.log_a), self.cfg.n
         m2 = len(self.v_bins)
         v_words = self.v_words.reshape(-1, n)  # row c = s1 * M2 + s2
-        count = len(v_words)
-        w = self.log_uv[self.u_words[:, None], self.v_words].sum(axis=2).ravel()
         # In lexicographic order word t = tl * |A|^(n-h) + tr has first half
         # tl and last half tr.
         h = n // 2
         n_v = len(self.log_a_given_v)
         left_first, left_id = _row_groups(v_words[:, :h], n_v)
         right_first, right_id = _row_groups(v_words[:, h:], n_v)
+        u_id = _row_groups(self.u_words, len(self.log_uv))[1]
+        # the first copy of each (u-word, v-word) pair, in index order
+        pair = ((np.repeat(u_id, m2) * len(left_first) + left_id) * len(right_first)
+                + right_id)
+        codeword = np.sort(np.unique(pair, return_index=True)[1])
+        count = len(codeword)
+        left_id, right_id = left_id[codeword], right_id[codeword]
+        w = self.log_uv[self.u_words[codeword // m2], v_words[codeword]].sum(axis=1)
         gl = _word_sums(self.log_a_given_v[v_words[left_first, :h]])   # (G, A^h)
         gr = _word_sums(self.log_a_given_v[v_words[right_first, h:]])  # (H, A^(n-h))
         n_left, n_right = gl.shape[1], gr.shape[1]
         # Split each group, in index order, into parts of at most 2 |A|^h
-        # codewords, which the passes then treat as groups: pass 1's loop
-        # takes at most that many steps per block, and the parts add at most
-        # C |A|^(n-h) / 2 cells, half of pass 1's, to the (max, +) products.
+        # codewords, which the passes then treat as groups, so that one
+        # part's w + GR block has at most 2 |A|^n cells. Part p's codewords
+        # are order[start[p]:start[p + 1]].
         order = np.argsort(left_id, kind="stable")
         group_size = np.bincount(left_id)
-        pos = np.arange(count) - np.repeat(np.cumsum(group_size) - group_size, group_size)
-        starts = pos % (2 * n_left) == 0
-        gl = gl[left_id[order[starts]]]
-        left_id[order] = np.cumsum(starts) - 1
-        n_groups = len(gl)
-        # groups by falling size, so those with more than j codewords come
-        # first; codewords by group, in index order within each group
-        group_size = np.bincount(left_id, minlength=n_groups)
-        by_size = np.argsort(-group_size, kind="stable")
-        gl, group_size = gl[by_size], group_size[by_size]
-        left_id = np.argsort(by_size)[left_id]
-        order = np.argsort(left_id, kind="stable")
-        group_start = np.concatenate(([0], np.cumsum(group_size)))
+        rank = np.arange(count) - np.repeat(np.cumsum(group_size) - group_size, group_size)
+        start = np.append(np.flatnonzero(rank % (2 * n_left) == 0), count)
+        part_size = np.diff(start)
+        gl = gl[left_id[order[start[:-1]]]]
+        n_parts = len(gl)
 
-        # Pass 1. Per group g and last half tr, the running maximum of
-        # w(c) + GR[v-right(c), tr] over g's codewords in index order ends at
-        # part_max[g, tr] = N[g, tr]. The lowest codeword at or above any
-        # threshold is one where the running maximum rises, so only those
-        # (the records) are kept, grouped by (g, tr).
-        part_max = np.empty((n_groups, n_right))
-        rises, steps = [], []
-        for lo, hi in _blocks(np.full(n_groups, n_right), ENCODE_CELLS):
-            run = part_max[lo:hi]
-            run.fill(-np.inf)
-            # step j reads codeword j of each of the first k groups, those
-            # with more than j codewords
-            active = np.searchsorted(-group_size[lo:hi], -np.arange(group_size[lo]))
-            for j, k in enumerate(active):
-                cw = order[group_start[lo:lo + k] + j]
-                part = w[cw, None] + gr[right_id[cw]]
-                rises.append(lo * n_right + np.flatnonzero(part > run[:k]))
-                steps.append(j)
-                np.maximum(run[:k], part, out=run[:k])
-        # record r is codeword rec_cw[r] at (g, tr) = divmod(key, |A|^(n-h))
-        rec_key = np.concatenate(rises)
-        rec_step = np.repeat(steps, [len(rise) for rise in rises])
-        del rises
-        by_key = np.argsort(rec_key)
-        rec_key = rec_key[by_key]
-        rec_cw = order[group_start[rec_key // n_right] + rec_step[by_key]]
-        rec_val = w[rec_cw] + gr[right_id[rec_cw], rec_key % n_right]
-        rec_start = np.concatenate(([0], np.cumsum(np.bincount(
-            rec_key, minlength=n_groups * n_right))))
+        # Pass 1. N[p, tr] = max over part p's codewords of w(c) +
+        # GR[v-right(c), tr]; the codewords within the margin of it are kept,
+        # as flat indices pos * |A|^(n-h) + tr of codeword order[pos].
+        part_max = np.empty((n_parts, n_right))
+        kept = []
+        for lo, hi in _blocks(part_size * n_right, ENCODE_CELLS):
+            rows = order[start[lo]:start[hi]]
+            val = w[rows, None] + gr[right_id[rows]]
+            top = part_max[lo:hi] = np.maximum.reduceat(val, start[lo:hi] - start[lo])
+            floor = top - 2 * SCORE_TOL - 8 * np.finfo(float).eps * (
+                abs(top) + abs(gl[lo:hi]).max(axis=1, keepdims=True))
+            kept.append(start[lo] * n_right + np.flatnonzero(
+                val >= np.repeat(floor, part_size[lo:hi], axis=0)))
+        # kept codeword r is kept_cw[r] at (p, tr) = divmod(key, |A|^(n-h))
+        pos, tr = np.divmod(np.concatenate(kept), n_right)
+        key = np.repeat(np.arange(n_parts), part_size)[pos] * n_right + tr
+        by_key = np.argsort(key)
+        kept_cw = order[pos[by_key]]
+        kept_val = w[kept_cw] + gr[right_id[kept_cw], tr[by_key]]
+        kept_start = np.concatenate(([0], np.cumsum(np.bincount(
+            key, minlength=n_parts * n_right))))
         best = np.full((n_left, n_right), -np.inf)
-        group_blocks = list(_blocks(np.full(n_groups, na ** n), ENCODE_CELLS))
-        for lo, hi in group_blocks:
+        part_blocks = list(_blocks(np.full(n_parts, na ** n), ENCODE_CELLS))
+        for lo, hi in part_blocks:
             np.maximum(best, (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).max(axis=0),
                        out=best)
         best = best.ravel()
 
         # Pass 2. Each word's lowest codeword within SCORE_TOL of M, read off
-        # the records of the (group, word) pairs whose bound GL + N gets there.
+        # the kept codewords of the (part, word) pairs whose bound GL + N
+        # gets there.
         thresh = best - SCORE_TOL
         best_idx = np.full(na ** n, count)
-        for lo, hi in group_blocks:
-            g, word = np.divmod(np.flatnonzero(
+        for lo, hi in part_blocks:
+            p, word = np.divmod(np.flatnonzero(
                 (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).reshape(hi - lo, -1)
                 >= thresh), na ** n)
-            g += lo
-            key = g * n_right + word % n_right
-            base, limit = gl[g, word // n_right], thresh[word]
-            for plo, phi in _blocks(rec_start[key + 1] - rec_start[key], ENCODE_CELLS):
-                first = rec_start[key[plo:phi]]
-                sizes = rec_start[key[plo:phi] + 1] - first
+            p += lo
+            key = p * n_right + word % n_right
+            base, limit = gl[p, word // n_right], thresh[word]
+            for plo, phi in _blocks(kept_start[key + 1] - kept_start[key], ENCODE_CELLS):
+                first = kept_start[key[plo:phi]]
+                sizes = kept_start[key[plo:phi] + 1] - first
                 ends = np.cumsum(sizes)
-                rec = np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)
-                # the group's lowest codeword at the limit is a record, so
-                # it is the lowest record there
-                hit = (np.repeat(base[plo:phi], sizes) + rec_val[rec]
+                r = np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)
+                hit = (np.repeat(base[plo:phi], sizes) + kept_val[r]
                        >= np.repeat(limit[plo:phi], sizes))
                 np.minimum.at(best_idx, word[plo:phi], np.minimum.reduceat(
-                    np.where(hit, rec_cw[rec], count), ends - sizes))
+                    np.where(hit, kept_cw[r], count), ends - sizes))
+        best_idx = np.append(codeword, len(v_words))[best_idx]
         best_s1, best_s2 = np.divmod(best_idx, m2)
         self._encode_map = (self.u_bins[best_s1] * self.n_bins[1]
                             + self.v_bins[best_s2])

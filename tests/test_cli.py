@@ -372,7 +372,9 @@ class TestSimulate:
         (["--p", "0.1", "--eps", "0.469", "--alpha", "0.031", "--beta", "0.05",
           "--n", "10", "--trials", "100", "--seed", "1", "--slack", "0.1"],
          "simulate_p0.1_eps0.469_n10_seed1.csv"),
-    ], ids=["defaults", "n14", "readme"])
+        # 811 x 27 codewords, 8,328 of them distinct, in groups cut into parts
+        (["--n", "12", "--slack", "0.2"], "simulate_n12_slack0.2.csv"),
+    ], ids=["defaults", "n14", "readme", "n12-slack0.2"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when each trial built its own numpy generator
         assert main(["simulate", *argv]) == EXIT_OK

@@ -481,6 +481,28 @@ def test_a_zero_mass_letter_of_a_is_dropped(order):
     assert classify_source(padded).to_record() == classify_source(dropped).to_record()
 
 
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_less_noisy_lattice_skips_zero_mass_letters(position):
+    # a letter with p(a) = 0 once grew the lattice from 41^3 to 41^4 channels
+    # (over 600 MB); the witness gives it the row (0, 1), as the first of the
+    # equal maxima over the full lattice did
+    mass = np.random.default_rng(0).dirichlet(np.ones(18)).reshape(3, 3, 2)
+    dropped = _source("ABE", mass, (3, 3, 2))
+    padded = _source("ABE", np.insert(mass, position, 0.0, axis=0), (4, 3, 2))
+    tracemalloc.start()
+    try:
+        record = classify_source(padded).to_record()
+        tag, witness = less_noisy_search(padded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_tag, want = less_noisy_search(dropped)
+    assert record == classify_source(dropped).to_record()
+    assert tag == want_tag == "counterexample"
+    np.testing.assert_array_equal(witness.rows,
+                                  np.insert(want.rows, position, [0.0, 1.0], axis=0))
+    assert peak < 50 << 20
+
 def test_side_channels_recover_constructors():
     src = build_source(BecBscParams(0.1, 0.4))
     for order in ("ABE", "EBA"):  # whatever order the joint stores its axes in

@@ -315,13 +315,18 @@ class TestCodebook:
 
     @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "skewed", "p0",
                                       "ternary", "ternary-zero-a", "quaternary-v",
-                                      "many-v-words"])
-    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+                                      "many-v-words", "ternary-zero-a-slack0.5"])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 8])
     def test_encoder_takes_lowest_codeword_within_tolerance(self, case, n):
         if case == "quaternary-v":
             src, aux, rates = quaternary_v_case()
         elif case == "many-v-words":  # 2^(7n/8) v-words per u-word
             (src, aux), rates = canonical(), SimRates(0.25, 0.1, 0.875, 0.5)
+        elif case == "ternary-zero-a-slack0.5":
+            # scores near _LOG_FLOOR = -1e30, whose rounding the margin of
+            # the encoder's pass 1 must cover
+            src, aux = case_source("ternary-zero-a")
+            rates = achievability_rates(src, aux, slack=0.5)
         else:
             src, aux = case_source(case)
             rates = achievability_rates(src, aux, slack=0.1)
