@@ -19,7 +19,10 @@ The auxiliaries form the chain U - V - A, so log p(a, v, u) = log p(u, v) +
 log p(a | v): a codeword's score on a source word is a weight of the
 codeword plus two tables over the halves of its v-word and of the source
 word. The encoder takes every word's best score in two (max, +) passes over
-those half-word tables, scoring each distinct codeword once.
+those half-word tables, scoring each distinct codeword once, and splits the
+words where the passes' cells are fewest. Its groupings rank keys of known
+bound by counting, and its sorts take the narrowest dtype that holds them,
+which numpy radix-sorts at 16 bits or less.
 
 Trials run in chunks of bounded size, and `Codebook.decode` and
 `exact_equivocation` each take a whole chunk. Each message's preimage (the
@@ -135,17 +138,75 @@ def _word_sums(table: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for integer keys in range(bound), sorted
+    as the smallest unsigned type that holds them: numpy radix-sorts keys of
+    16 bits or less."""
+    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+
+
+def _rank(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Renumber ids in range(bound) as 0, 1, ... in the order of their values:
+    (ranks, the number of distinct ids)."""
+    rank = np.cumsum(np.bincount(ids, minlength=bound) > 0) - 1
+    return rank[ids], (int(rank[-1]) + 1 if bound else 0)
+
+
+def _prefixes(rows: np.ndarray, size: int):
+    """Yield (ids, bound) for the first 0, 1, ..., m letters of a (K, m) array
+    of letters in range(size): rows whose prefixes are equal have equal ids,
+    ids in range(bound) order the prefixes lexicographically, and bound is
+    at most K size: the ids are ranked again before they could pass that."""
+    ids, bound = np.zeros(len(rows), dtype=np.int64), 1
+    yield ids, bound
+    for letter in rows.T:
+        if bound * size > len(rows):
+            ids, bound = _rank(ids, bound)
+        ids, bound = ids * size + letter, bound * size
+        yield ids, bound
+
+
+def _groups(ids: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, ranks) for ids in range(bound): row k is in group ranks[k], the
+    groups in the order of their ids, and first[g] is group g's lowest row."""
+    ranks, count = _rank(ids, bound)
+    size = np.bincount(ranks, minlength=count)
+    return _stable_order(ranks, count)[np.cumsum(size) - size], ranks
+
+
 def _row_groups(rows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(first, ids) for a (K, m) array of letters in range(size): row k is
-    the group ids[k], and rows[first[g]] is group g's row."""
-    ids, bound = np.zeros(len(rows), dtype=np.int64), 1
-    for letter in rows.T:
-        if bound * size > 1 << 62:  # renumber before the ids could overflow
-            _, ids = np.unique(ids, return_inverse=True)
-            bound = int(ids.max()) + 1
-        ids, bound = ids * size + letter, bound * size
-    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-    return first, ids
+    the group ids[k], the groups in lexicographic order of their rows, and
+    rows[first[g]] is group g's row."""
+    for ids, bound in _prefixes(rows, size):
+        pass
+    return _groups(ids, bound)
+
+
+def _first_copies(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows k, in order, where the pair (a[k], b[k]) of ids in range(K)
+    first occurs: after stable passes by b and then by a, equal pairs are
+    adjacent and in row order."""
+    order = _stable_order(b, len(b))
+    order = order[_stable_order(a[order], len(b))]
+    a, b = a[order], b[order]
+    first = order[np.append(True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]))]
+    return np.flatnonzero(np.bincount(first, minlength=len(b)))
+
+
+def _split(v_words: np.ndarray, size: int, na: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(h, first, ids) for the encoder's C codewords with these (C, n)
+    v-words of letters in range(size): h minimises the cells of its passes,
+    C na^(n-h) + parts(h) na^n, where parts(h) cuts each group of equal
+    first h letters into parts of at most 2 na^h, and (first, ids) are
+    `_row_groups` of those first h letters."""
+    count, n = v_words.shape
+    for j, (ids, bound) in enumerate(_prefixes(v_words, size)):
+        parts = int((-(-np.bincount(ids) // (2 * na ** j))).sum())
+        cells = count * na ** (n - j) + parts * na ** n
+        if not j or cells < least:
+            h, least, left = j, cells, (ids, bound)
+    return (h, *_groups(*left))
 
 
 def _blocks(sizes: np.ndarray, cap: int):
@@ -193,13 +254,16 @@ class Codebook:
             raise ResourceLimit(f"codebook of {m1}x{m2} codewords exceeds budget "
                                 f"{MAX_CODEWORDS}")
         # i.i.d. draws: all u-words first, then the v-words of each u-word
-        # in index order, each letter by inverting p(v | u_i)'s cdf.
+        # in index order, each letter by inverting p(v | u_i)'s cdf: the
+        # number of cdf entries below the draw, counted one entry at a time.
         rng = np.random.default_rng(cfg.seed)
         self.u_words = rng.choice(len(p_u), size=(m1, cfg.n), p=p_u)  # (M1, n)
         cum = p_v_given_u[self.u_words].cumsum(axis=-1)  # (M1, n, V)
         cum /= cum[..., -1:]  # a draw below 1 is then below the last entry
         draws = rng.random((m1, m2, cfg.n))
-        self.v_words = (draws[..., None] > cum[:, None]).sum(axis=-1)  # (M1, M2, n)
+        self.v_words = np.zeros(draws.shape, dtype=np.int64)  # (M1, M2, n)
+        for col in cum[..., :-1].transpose(2, 0, 1):
+            self.v_words += draws > col[:, None]
         self.u_bins = np.arange(m1) % n1
         self.v_bins = np.arange(m2) % n2  # the same layout for every u-word
         self.n_bins = (n1, n2)
@@ -241,34 +305,39 @@ class Codebook:
         log p(a_i | v_i) over the first h and the last n - h letters, one row
         per distinct half of the v-words. The codewords are grouped by v-left
         half, and a group is cut into parts of at most 2 |A|^h codewords in
-        index order. Pass 1 takes, per part p, N[p, a-right] = the max over
-        p's codewords of w(c) + GR, and then every word's best, M = max over
-        p of GL[p] + N[p]. It keeps the codewords with w(c) + GR >= N -
+        index order. h minimises C |A|^(n-h) + parts(h) |A|^n, the cells of
+        pass 1's w + GR blocks over the C distinct codewords and of its
+        (max, +) products; one letter-by-letter grouping of the v-words
+        gives parts(h) for every h, and h moves only the order in which a
+        score's terms are added.
+
+        Pass 1 takes, per part p, N[p, a-right] = the max over p's
+        codewords of w(c) + GR, and then every word's best, M = max over p
+        of GL[p] + N[p]. It keeps the codewords with w(c) + GR >= N -
         2 SCORE_TOL - 8 eps (|N| + max |GL[p]|), eps float64's machine
         epsilon. Every score is at most 0, so a codeword within SCORE_TOL
         of M lies within SCORE_TOL of N plus the rounding of GL + (w + GR)
         and of M - SCORE_TOL; the eps term bounds that rounding, which
         matters where _LOG_FLOOR terms make scores near -1e30. Pass 2 reads
         the kept codewords of only the (part, word) pairs with GL + N
-        within SCORE_TOL of M.
+        within SCORE_TOL of M, and sums GL + N only on the (part, a-left)
+        rows whose GL + max N gets within SCORE_TOL of the row's least M.
         """
         na, n = len(self.log_a), self.cfg.n
         m2 = len(self.v_bins)
         v_words = self.v_words.reshape(-1, n)  # row c = s1 * M2 + s2
+        n_v = len(self.log_a_given_v)
+        # the first copy of each (u-word, v-word) pair, in index order
+        codeword = _first_copies(
+            np.repeat(_row_groups(self.u_words, len(self.log_uv))[1], m2),
+            _row_groups(v_words, n_v)[1])
+        count = len(codeword)
+        w = self.log_uv[self.u_words[codeword // m2], v_words[codeword]].sum(axis=1)
         # In lexicographic order word t = tl * |A|^(n-h) + tr has first half
         # tl and last half tr.
-        h = n // 2
-        n_v = len(self.log_a_given_v)
-        left_first, left_id = _row_groups(v_words[:, :h], n_v)
-        right_first, right_id = _row_groups(v_words[:, h:], n_v)
-        u_id = _row_groups(self.u_words, len(self.log_uv))[1]
-        # the first copy of each (u-word, v-word) pair, in index order
-        pair = ((np.repeat(u_id, m2) * len(left_first) + left_id) * len(right_first)
-                + right_id)
-        codeword = np.sort(np.unique(pair, return_index=True)[1])
-        count = len(codeword)
-        left_id, right_id = left_id[codeword], right_id[codeword]
-        w = self.log_uv[self.u_words[codeword // m2], v_words[codeword]].sum(axis=1)
+        h, left_first, left_id = _split(v_words[codeword], n_v, na)
+        right_first, right_id = _row_groups(v_words[codeword, h:], n_v)
+        left_first, right_first = codeword[left_first], codeword[right_first]
         gl = _word_sums(self.log_a_given_v[v_words[left_first, :h]])   # (G, A^h)
         gr = _word_sums(self.log_a_given_v[v_words[right_first, h:]])  # (H, A^(n-h))
         n_left, n_right = gl.shape[1], gr.shape[1]
@@ -276,7 +345,7 @@ class Codebook:
         # codewords, which the passes then treat as groups, so that one
         # part's w + GR block has at most 2 |A|^n cells. Part p's codewords
         # are order[start[p]:start[p + 1]].
-        order = np.argsort(left_id, kind="stable")
+        order = _stable_order(left_id, len(left_first))
         group_size = np.bincount(left_id)
         rank = np.arange(count) - np.repeat(np.cumsum(group_size) - group_size, group_size)
         start = np.append(np.flatnonzero(rank % (2 * n_left) == 0), count)
@@ -300,30 +369,33 @@ class Codebook:
         # kept codeword r is kept_cw[r] at (p, tr) = divmod(key, |A|^(n-h))
         pos, tr = np.divmod(np.concatenate(kept), n_right)
         key = np.repeat(np.arange(n_parts), part_size)[pos] * n_right + tr
-        by_key = np.argsort(key)
+        by_key = _stable_order(key, n_parts * n_right)
         kept_cw = order[pos[by_key]]
         kept_val = w[kept_cw] + gr[right_id[kept_cw], tr[by_key]]
         kept_start = np.concatenate(([0], np.cumsum(np.bincount(
             key, minlength=n_parts * n_right))))
         best = np.full((n_left, n_right), -np.inf)
-        part_blocks = list(_blocks(np.full(n_parts, na ** n), ENCODE_CELLS))
-        for lo, hi in part_blocks:
+        for lo, hi in _blocks(np.full(n_parts, na ** n), ENCODE_CELLS):
             np.maximum(best, (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).max(axis=0),
                        out=best)
         best = best.ravel()
 
         # Pass 2. Each word's lowest codeword within SCORE_TOL of M, read off
         # the kept codewords of the (part, word) pairs whose bound GL + N
-        # gets there.
-        thresh = best - SCORE_TOL
+        # gets there. Rounding is monotone, so such a pair lies in a (part,
+        # first half) row whose GL + max N reaches the row's least threshold.
+        thresh = (best - SCORE_TOL).reshape(n_left, n_right)
+        row_p, row_tl = np.nonzero(gl + part_max.max(axis=1, keepdims=True)
+                                   >= thresh.min(axis=1))
         best_idx = np.full(na ** n, count)
-        for lo, hi in part_blocks:
-            p, word = np.divmod(np.flatnonzero(
-                (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).reshape(hi - lo, -1)
-                >= thresh), na ** n)
-            p += lo
-            key = p * n_right + word % n_right
-            base, limit = gl[p, word // n_right], thresh[word]
+        # a row gathers N and the thresholds and sums: 3 |A|^(n-h) cells
+        for lo, hi in _blocks(np.full(len(row_p), 3 * n_right), ENCODE_CELLS):
+            row, tr = np.divmod(np.flatnonzero(
+                gl[row_p[lo:hi], row_tl[lo:hi], None] + part_max[row_p[lo:hi]]
+                >= thresh[row_tl[lo:hi]]), n_right)
+            p, tl = row_p[lo + row], row_tl[lo + row]
+            word, key = tl * n_right + tr, p * n_right + tr
+            base, limit = gl[p, tl], thresh[tl, tr]
             for plo, phi in _blocks(kept_start[key + 1] - kept_start[key], ENCODE_CELLS):
                 first = kept_start[key[plo:phi]]
                 sizes = kept_start[key[plo:phi] + 1] - first
@@ -341,9 +413,9 @@ class Codebook:
         self._encode_idx = best_idx
         # the words that encode to message m, in word order (the sort is
         # stable), are _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
-        self._preimage_words = np.argsort(self._encode_map, kind="stable")
-        sizes = np.bincount(self._encode_map,
-                            minlength=self.n_bins[0] * self.n_bins[1])
+        n_msgs = self.n_bins[0] * self.n_bins[1]
+        self._preimage_words = _stable_order(self._encode_map, n_msgs)
+        sizes = np.bincount(self._encode_map, minlength=n_msgs)
         self._preimage_start = np.concatenate(([0], np.cumsum(sizes)))
         return self._encode_map, self._encode_ok
 
@@ -523,11 +595,17 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TrialSummary:
+    """The trial records, their means and failure rates, and the sample
+    standard errors std(ddof=1) / sqrt(K) of the K trials' distortions and
+    equivocations (0.0 when K < 2)."""
+
     records: list[TrialRecord]
     mean_distortion: float
     mean_equivocation: float
     encode_failure_rate: float
     decode_failure_rate: float
+    stderr_distortion: float
+    stderr_equivocation: float
 
     def to_csv(self) -> str:
         return csv_text(["trial", "encode_ok", "decode_ok", "distortion", "equivocation"],
@@ -551,7 +629,7 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     on the chunking.
     """
     if cfg.trials == 0:
-        return TrialSummary([], 0.0, 0.0, 0.0, 0.0)
+        return TrialSummary([], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     codebook = Codebook(source, scheme, cfg)
     messages, enc_ok = codebook._encode_map, codebook._encode_ok
 
@@ -592,5 +670,7 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
         columns.append(chunk_cols)
 
     enc, dec, dist, eq = map(np.concatenate, zip(*columns))
+    stderr = [float(np.std(x, ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
+              for x in (dist, eq)]
     return TrialSummary(records, float(np.mean(dist)), float(np.mean(eq)),
-                        float(np.mean(~enc)), float(np.mean(~dec)))
+                        float(np.mean(~enc)), float(np.mean(~dec)), *stderr)

@@ -374,7 +374,9 @@ class TestSimulate:
          "simulate_p0.1_eps0.469_n10_seed1.csv"),
         # 811 x 27 codewords, 8,328 of them distinct, in groups cut into parts
         (["--n", "12", "--slack", "0.2"], "simulate_n12_slack0.2.csv"),
-    ], ids=["defaults", "n14", "readme", "n12-slack0.2"])
+        # odd n: the encoder's split of the words is uneven
+        (["--n", "13", "--seed", "3"], "simulate_n13_seed3.csv"),
+    ], ids=["defaults", "n14", "readme", "n12-slack0.2", "n13-seed3"])
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when each trial built its own numpy generator
         assert main(["simulate", *argv]) == EXIT_OK

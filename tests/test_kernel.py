@@ -30,6 +30,7 @@ from secrd.region import (
     sweep_boundary,
 )
 from secrd.simulate import Codebook, SimConfig, achievability_rates
+from test_simulator import quaternary_v_case
 
 
 def _labels(prefix, n):
@@ -278,13 +279,33 @@ def _digest(*arrays):
     return h.hexdigest()[:16]
 
 
-# (codewords, encoder outputs) digests of the paper scheme's codebook, recorded
-# when Codebook drew its words from a materialized JointPmf
+def _codebook_digests(book):
+    """(codewords, encoder outputs, preimages) digests of a codebook."""
+    return (_digest(book.u_words, book.v_words),
+            _digest(book._encode_map, book._encode_ok, book._encode_idx),
+            _digest(book._preimage_words, book._preimage_start))
+
+
+# digests of the paper scheme's codebook at slack 0.1: those at n = 4 and 8
+# recorded when Codebook drew its words from a materialized JointPmf, the
+# rest when every sort in the encoder was a comparison sort of int64 keys
 CODEBOOK_DIGESTS = {
-    (4, 0): ("c90af551d9e0e17a", "73bbe95e61e30f89"),
-    (4, 1): ("0dd5b5e2ecd292ef", "eb39e30967ceee2b"),
-    (8, 0): ("0dccd7423106be0c", "2608f379e276d2e3"),
-    (8, 1): ("f88d979d87cb7d67", "f81affdf3a1c1b55"),
+    (4, 0): ("c90af551d9e0e17a", "73bbe95e61e30f89", "57cf905f705b44f8"),
+    (4, 1): ("0dd5b5e2ecd292ef", "eb39e30967ceee2b", "c41f2ea402b70293"),
+    (8, 0): ("0dccd7423106be0c", "2608f379e276d2e3", "ca8d38127c349eed"),
+    (8, 1): ("f88d979d87cb7d67", "f81affdf3a1c1b55", "dacffd8649bf7151"),
+    (10, 0): ("ff7c653c35b38546", "345c2138a0e1f7d6", "f025f8e3439983c4"),
+    (10, 1): ("bbb64307614d5bfc", "62309c974b6fab6f", "d406412a7573ae83"),
+    (12, 0): ("a6df982f6d7fa5d9", "b78b622b070afec8", "67731438a94c98bb"),
+    (12, 1): ("921207eee532d1a8", "7d8514acc17b8e8c", "9b34d0758b87c5e4"),
+    (13, 0): ("cc8ccf004ef9c216", "6b01d81365b78f5f", "827a5ecbb97f6435"),
+    (14, 0): ("72a04413c005eef6", "570bb6de0d867382", "59b276882cdb7462"),
+    (14, 1): ("792f3fef9f3847cb", "70532b463be15865", "a89af7ee5bad901c"),
+}
+# the same digests of quaternary_v_case's codebook at seed 0
+QUATERNARY_V_DIGESTS = {
+    12: ("3dd3f24ed61262be", "e2cc35b0325eb7f1", "125b114869e3d0cd"),
+    14: ("36db16396482a041", "958a8bf0f8bfd216", "0e66b5ec10260fd4"),
 }
 
 
@@ -295,12 +316,17 @@ def test_codebook_matches_jointpmf_construction(n, seed):
     scheme = aux_scheme(params, BinaryScheme(0.031, 0.05))
     rates = achievability_rates(source, scheme, slack=0.1)
     book = Codebook(source, scheme, SimConfig(n=n, rates=rates, trials=1, seed=seed))
-    messages, ok = book.encode_all()
-    got = (_digest(book.u_words, book.v_words), _digest(messages, ok, book._encode_idx))
-    assert got == CODEBOOK_DIGESTS[n, seed]
+    assert _codebook_digests(book) == CODEBOOK_DIGESTS[n, seed]
     joint = materialize(source, scheme)
     p_av = joint.marginal(("A", "V")).mass
     p_uv = np.transpose(joint.marginal(("V", "U")).mass)
     np.testing.assert_allclose(np.exp2(book.log_uv), p_uv, rtol=0, atol=1e-15)
     np.testing.assert_allclose(np.exp2(book.log_a_given_v), (p_av / p_av.sum(axis=0)).T,
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", sorted(QUATERNARY_V_DIGESTS))
+def test_quaternary_v_codebook_digests(n):
+    source, scheme, rates = quaternary_v_case()
+    book = Codebook(source, scheme, SimConfig(n=n, rates=rates, trials=1, seed=0))
+    assert _codebook_digests(book) == QUATERNARY_V_DIGESTS[n]

@@ -1,6 +1,8 @@
 """Unit tests for the finite-blocklength simulator."""
 
 import itertools
+import math
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -250,6 +252,60 @@ class TestTrialUniforms:
     def test_word_count_boundaries(self, seed, first, count, m):
         assert_bitwise_equal(_trial_uniforms(seed, first, count, m),
                              numpy_child_uniforms(seed, first, count, m))
+
+
+# dtype edges of the sort keys: uint8 to uint16, uint16 to uint32, uint32 to uint64
+KEY_BOUNDS = [1, 2, 255, 256, 257, 65535, 65536, 65537, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+class TestGrouping:
+    """The encoder's bounded-key sorts and groupings against numpy's
+    comparison sort and np.unique."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(KEY_BOUNDS).flatmap(lambda bound: st.tuples(
+        st.just(bound), st.lists(st.one_of(st.integers(0, bound - 1),
+                                           st.sampled_from([0, bound - 1])),
+                                 max_size=300))))
+    def test_stable_order_is_the_stable_argsort(self, case):
+        bound, keys = case
+        keys = np.array(keys, dtype=np.int64)
+        np.testing.assert_array_equal(simulate._stable_order(keys, bound),
+                                      np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(0, 300), distinct=st.integers(1, 300),
+           letters=st.integers(0, 40), size=st.integers(1, 5), seed=st.integers(0, 2**32))
+    def test_row_groups_and_prefixes_match_unique(self, rows, distinct, letters, size, seed):
+        # more than log_size(rows) letters take the renumbering path
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, size, size=(distinct, letters))
+        words = table[rng.integers(0, distinct, size=rows)]
+        for j, (ids, bound) in enumerate(simulate._prefixes(words, size)):
+            assert ((0 <= ids) & (ids < bound)).all() and bound <= max(rows, 1) * size
+            want_first, want_ids = np.unique(words[:, :j], axis=0, return_index=True,
+                                             return_inverse=True)[1:]
+            first, got_ids = simulate._groups(ids, bound)
+            np.testing.assert_array_equal(got_ids, want_ids.ravel())
+            np.testing.assert_array_equal(first, want_first)
+        first, ids = simulate._row_groups(words, size)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(ids, want_ids.ravel())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(groups=st.sampled_from([1, 255, 256, 257, 65535, 65536, 65537]),
+           spread=st.integers(1, 3), seed=st.integers(0, 2**32))
+    def test_groups_match_unique_across_key_widths(self, groups, spread, seed):
+        # the group count crosses the dtype edges of the stable sort inside
+        rng = np.random.default_rng(seed)
+        bound = groups * spread
+        values = rng.choice(bound, size=groups, replace=False)
+        ids = np.concatenate([values, values[rng.integers(0, groups, size=groups // 2)]])
+        ids = ids[rng.permutation(len(ids))]
+        _, want_first, want_ids = np.unique(ids, return_index=True, return_inverse=True)
+        first, got_ids = simulate._groups(ids, bound)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(got_ids, want_ids)
 
 
 class TestCodebook:
@@ -677,6 +733,18 @@ class TestTrials:
 
         # 10x the trials adds only the records, about 0.2 KB each
         assert peak(1000) < peak(100) + (1 << 20)
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 30])
+    def test_standard_errors_from_the_records(self, trials):
+        src, aux = canonical()
+        rates = achievability_rates(src, aux, slack=0.1)
+        summary = run_trials(src, aux, SimConfig(n=6, rates=rates, trials=trials, seed=4))
+        for field in ("distortion", "equivocation"):
+            x = [getattr(r, field) for r in summary.records]
+            want = statistics.stdev(x) / math.sqrt(len(x)) if len(x) > 1 else 0.0
+            assert getattr(summary, f"stderr_{field}") == pytest.approx(want, rel=1e-12,
+                                                                        abs=0.0)
+            assert want > 0 or trials < 30  # 30 trials' records spread
 
     def test_zero_trials(self):
         src, aux = canonical()
