@@ -15,6 +15,13 @@ encode to it, reusing the same enumeration that the equivocation
 computation needs. Decode success means the encoder's codeword indices were
 recovered. Blocklengths are capped so that |A|^n enumeration stays cheap.
 
+Log-probabilities are exact: log 0 is -inf. A word that no codeword covers
+scores -inf on every codeword, so the rule gives it codeword 0 and it counts
+as an encoding failure. A row of Bob's letters that no source word explains
+decodes to the lowest pair in the bins, and an observation of Eve's with
+probability 0 under the message is refused, as a message with an empty
+preimage is.
+
 The auxiliaries form the chain U - V - A, so log p(a, v, u) = log p(u, v) +
 log p(a | v): a codeword's score on a source word is a weight of the
 codeword plus two tables over the halves of its v-word and of the source
@@ -115,13 +122,7 @@ def _count(rate: float, n: int) -> int:
     return max(1, int(round(2.0 ** (n * rate))))
 
 
-_LOG_FLOOR = -1e30
 SCORE_TOL = 1e-9
-
-
-def _safe_log2(p: np.ndarray) -> np.ndarray:
-    """log2 with zero cells mapped to a large negative sentinel."""
-    return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), _LOG_FLOOR)
 
 
 def _word_sums(table: np.ndarray) -> np.ndarray:
@@ -240,13 +241,15 @@ class Codebook:
         p_u = p_vu.sum(axis=0)
         p_v_given_u = (p_vu / np.where(p_u > 0, p_u, 1.0)).T
         p_v = p_vu.sum(axis=1)
-        # log p(a, v, u) = log p(u, v) + log p(a | v), by the chain U - V - A
-        self.log_uv = _safe_log2(p_vu.T)
-        self.log_a_given_v = _safe_log2((p_avu.sum(axis=2)
-                                         / np.where(p_v > 0, p_v, 1.0)).T)
-        self.log_a = _safe_log2(self.source.p_a)
-        self.log_b_given_a = _safe_log2(self.source.b_given_a)
-        self.log_e_given_a = _safe_log2(self.source.e_given_a)
+        # log p(a, v, u) = log p(u, v) + log p(a | v), by the chain U - V - A;
+        # log 0 is -inf
+        with np.errstate(divide="ignore"):
+            self.log_uv = np.log2(p_vu.T)
+            self.log_a_given_v = np.log2((p_avu.sum(axis=2)
+                                          / np.where(p_v > 0, p_v, 1.0)).T)
+            self.log_a = np.log2(self.source.p_a)
+            self.log_b_given_a = np.log2(self.source.b_given_a)
+            self.log_e_given_a = np.log2(self.source.e_given_a)
 
         m1, m2, n1, n2 = (_count(rate, cfg.n) for rate in
                           (cfg.rates.s1, cfg.rates.s2, cfg.rates.r1, cfg.rates.r2))
@@ -297,8 +300,10 @@ class Codebook:
         word a, and each word gets the lowest codeword index whose score is
         within SCORE_TOL of the word's best. SCORE_TOL absorbs
         summation-order noise; the rule does not depend on the order in
-        which codewords are visited. Equal codewords score alike, so only
-        the first copy of each (u-word, v-word) pair is scored.
+        which codewords are visited. A word whose best is -inf (no codeword
+        covers it) ties at every codeword and gets codeword 0; its ok flag
+        is false. Equal codewords score alike, so only the first copy of
+        each (u-word, v-word) pair is scored.
 
         By the chain U - V - A the score is w(c) + GL[v-left, a-left] +
         GR[v-right, a-right]: w(c) sums log p(u_i, v_i), and GL and GR sum
@@ -314,14 +319,14 @@ class Codebook:
         Pass 1 takes, per part p, N[p, a-right] = the max over p's
         codewords of w(c) + GR, and then every word's best, M = max over p
         of GL[p] + N[p]. It keeps the codewords with w(c) + GR >= N -
-        2 SCORE_TOL - 8 eps (|N| + max |GL[p]|), eps float64's machine
-        epsilon. Every score is at most 0, so a codeword within SCORE_TOL
-        of M lies within SCORE_TOL of N plus the rounding of GL + (w + GR)
-        and of M - SCORE_TOL; the eps term bounds that rounding, which
-        matters where _LOG_FLOOR terms make scores near -1e30. Pass 2 reads
-        the kept codewords of only the (part, word) pairs with GL + N
-        within SCORE_TOL of M, and sums GL + N only on the (part, a-left)
-        rows whose GL + max N gets within SCORE_TOL of the row's least M.
+        2 SCORE_TOL: a codeword within SCORE_TOL of M lies within SCORE_TOL
+        of N plus the rounding of GL + (w + GR) and of M - SCORE_TOL, and
+        at the magnitudes finite log-probabilities take that rounding is
+        far below SCORE_TOL. A (part, a-right) pair whose N is -inf keeps
+        nothing. Pass 2 reads the kept codewords of only the (part, word)
+        pairs with GL + N within SCORE_TOL of M, and sums GL + N only on
+        the (part, a-left) rows whose GL + max N gets within SCORE_TOL of
+        the row's least M. A word whose M is -inf takes no part in it.
         """
         na, n = len(self.log_a), self.cfg.n
         m2 = len(self.v_bins)
@@ -362,8 +367,7 @@ class Codebook:
             rows = order[start[lo]:start[hi]]
             val = w[rows, None] + gr[right_id[rows]]
             top = part_max[lo:hi] = np.maximum.reduceat(val, start[lo:hi] - start[lo])
-            floor = top - 2 * SCORE_TOL - 8 * np.finfo(float).eps * (
-                abs(top) + abs(gl[lo:hi]).max(axis=1, keepdims=True))
+            floor = np.where(top > -np.inf, top - 2 * SCORE_TOL, np.inf)
             kept.append(start[lo] * n_right + np.flatnonzero(
                 val >= np.repeat(floor, part_size[lo:hi], axis=0)))
         # kept codeword r is kept_cw[r] at (p, tr) = divmod(key, |A|^(n-h))
@@ -384,10 +388,14 @@ class Codebook:
         # the kept codewords of the (part, word) pairs whose bound GL + N
         # gets there. Rounding is monotone, so such a pair lies in a (part,
         # first half) row whose GL + max N reaches the row's least threshold.
-        thresh = (best - SCORE_TOL).reshape(n_left, n_right)
+        # A word whose best is -inf scores -inf on every codeword, so the rule
+        # gives it codeword 0 and its threshold +inf leaves it out of pass 2;
+        # every other word hits its best codeword there.
+        ok = best > -np.inf
+        thresh = np.where(ok, best - SCORE_TOL, np.inf).reshape(n_left, n_right)
         row_p, row_tl = np.nonzero(gl + part_max.max(axis=1, keepdims=True)
                                    >= thresh.min(axis=1))
-        best_idx = np.full(na ** n, count)
+        best_idx = np.where(ok, count, 0)
         # a row gathers N and the thresholds and sums: 3 |A|^(n-h) cells
         for lo, hi in _blocks(np.full(len(row_p), 3 * n_right), ENCODE_CELLS):
             row, tr = np.divmod(np.flatnonzero(
@@ -405,11 +413,11 @@ class Codebook:
                        >= np.repeat(limit[plo:phi], sizes))
                 np.minimum.at(best_idx, word[plo:phi], np.minimum.reduceat(
                     np.where(hit, kept_cw[r], count), ends - sizes))
-        best_idx = np.append(codeword, len(v_words))[best_idx]
+        best_idx = codeword[best_idx]
         best_s1, best_s2 = np.divmod(best_idx, m2)
         self._encode_map = (self.u_bins[best_s1] * self.n_bins[1]
                             + self.v_bins[best_s2])
-        self._encode_ok = best > _LOG_FLOOR / 2
+        self._encode_ok = ok
         self._encode_idx = best_idx
         # the words that encode to message m, in word order (the sort is
         # stable), are _preimage_words[_preimage_start[m]:_preimage_start[m + 1]]
@@ -443,9 +451,10 @@ class Codebook:
         (trial, first, words, scores, top), ragged over the trials in order
         and each preimage in word order: words[j] is a word of trial
         trial[j]'s preimage, which starts at first[trial[j]], and scores[j]
-        its log-likelihood L[first h letters] + R[last n - h letters].
-        top[k] = max L + max R is the exact maximum over all |A|^n words,
-        because rounding is monotone.
+        its log-likelihood L[first h letters] + R[last n - h letters], -inf
+        on a word of probability 0. top[k] = max L + max R is the exact
+        maximum over all |A|^n words, because rounding is monotone; it is
+        -inf where no word explains x_seqs[k].
         """
         h = self.cfg.n // 2
         table = self.log_a + log_x_given_a[:, x_seqs].transpose(1, 2, 0)
@@ -470,8 +479,9 @@ class Codebook:
         by 2^(log2 p(a) p(b | a) - the maximum over all |A|^n words). The
         lowest in-bin pair within SCORE_TOL of the best score wins, so a
         pair no preimage word maps to scores 0 and, when every score is
-        below SCORE_TOL, the winner is the lowest pair (r1, r2). Ids and
-        rows that fail `_check` raise InvalidArgument.
+        below SCORE_TOL, the winner is the lowest pair (r1, r2). A row that
+        no source word explains weights every word 0, so it decodes to that
+        pair too. Ids and rows that fail `_check` raise InvalidArgument.
         """
         msg_ids, b_seqs = self._check(msg_ids, b_seqs, 1)
         trial, _, words, scores, top = self._preimage_loglik(
@@ -480,11 +490,14 @@ class Codebook:
         m2 = len(self.v_bins)
         slots, per_row = self._pair_slots()
         s1, s2 = np.divmod(self._encode_idx[words], m2)
+        # a row no word explains has top -inf and every score -inf; unshifted,
+        # every weight is 0
+        shift = np.where(top > -np.inf, top, 0.0)
         # bincount adds in word order, as a full-enumeration bincount does;
         # slot 0 is a real pair, so a slot past the codebook's edge (mass 0)
         # never comes first
         mass = np.bincount(trial * slots + s1 // n1 * per_row + s2 // n2,
-                           weights=np.exp2(scores - top[trial]),
+                           weights=np.exp2(scores - shift[trial]),
                            minlength=len(msg_ids) * slots).reshape(-1, slots)
         pick = np.argmax(mass >= mass.max(axis=1, keepdims=True) - SCORE_TOL,
                          axis=1)
@@ -496,18 +509,24 @@ class Codebook:
 def exact_equivocation(codebook: Codebook, msg_ids, e_seqs) -> np.ndarray:
     """(1/n) H(A^n | W = message, E^n = e) of each of K trials, a (K,) array, over
     the message's preimage: H = log2 Z - sum w s / Z, with s each word's
-    log-likelihood less the trial's maximum, w = 2^s and Z = sum w. Ids and rows that
-    fail `Codebook._check`, or an id with an empty preimage, raise InvalidArgument."""
+    log-likelihood less the trial's maximum, w = 2^s and Z = sum w; a word of
+    probability 0 adds 0 to both sums. Ids and rows that fail `Codebook._check`, an
+    id with an empty preimage, or a row with probability 0 under the message (every
+    preimage word scores -inf) raise InvalidArgument."""
     msg_ids, e_seqs = codebook._check(msg_ids, e_seqs, 2)
     start = codebook._preimage_start
     if not (start[msg_ids] < start[msg_ids + 1]).all():
         raise InvalidArgument("message has an empty source preimage")
     trial, first, _, scores, _ = codebook._preimage_loglik(
         msg_ids, e_seqs, codebook.log_e_given_a)
-    s = scores - np.maximum.reduceat(scores, first)[trial]
+    peak = np.maximum.reduceat(scores, first)
+    if not (peak > -np.inf).all():
+        raise InvalidArgument("observation has probability 0 under the message")
+    s = scores - peak[trial]
     w = np.exp2(s)
     z = np.add.reduceat(w, first)
-    return (np.log2(z) - np.add.reduceat(w * s, first) / z) / codebook.cfg.n
+    ws = np.multiply(w, s, out=np.zeros_like(s), where=w > 0)  # 0 log 0 = 0
+    return (np.log2(z) - np.add.reduceat(ws, first) / z) / codebook.cfg.n
 
 
 _M32 = 0xFFFFFFFF

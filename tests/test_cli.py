@@ -1,13 +1,105 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from secrd import cli
 from secrd.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, MAX_GRID, main
+
+DATA = Path(__file__).parent / "data"
+BENCH_SOURCE = str(Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt")
+
+# Every golden output in tests/data and the argv that prints it, as (id, argv,
+# golden file) rows grouped by the test that checks them in process;
+# test_console_script_matches_golden_file runs every row through `secrd`.
+GOLDENS = {
+    "eval": [
+        ("text", ["eval", "--source", str(DATA / "source_p0.1_eps0.469.txt"),
+                  "--scheme", str(DATA / "scheme_alpha0.031_beta0.05.txt")],
+         "eval_p0.1_eps0.469.txt"),
+        ("json", ["eval", "--source", str(DATA / "source_p0.1_eps0.469.txt"),
+                  "--scheme", str(DATA / "scheme_alpha0.031_beta0.05.txt"),
+                  "--format", "json"], "eval_p0.1_eps0.469.json"),
+        ("bec-bsc-eps0.9", ["eval", "--source", BENCH_SOURCE,
+                            "--scheme", str(DATA / "scheme_alpha0.031_beta0.05.txt")],
+         "eval_p0.1_eps0.9.txt"),
+        ("ternary-eab", ["eval", "--source", str(DATA / "source_ternary_eab.txt"),
+                         "--scheme", str(DATA / "scheme_ternary_3_2_2.txt")],
+         "eval_ternary_eab.txt"),
+    ],
+    "binary --curve": [
+        ("curve", ["binary", "--p", "0.1", "--eps", "0.469", "--curve", "--grid", "200",
+                   "--format", "csv"], "curve_p0.1_eps0.469.csv"),
+        # the same curve from the defaults
+        ("curve-defaults", ["binary", "--curve", "--format", "csv"], "curve_p0.1_eps0.469.csv"),
+    ],
+    "binary": [
+        ("text", ["binary"], "binary_p0.1_eps0.469.txt"),
+        ("csv", ["binary", "--format", "csv"], "binary_p0.1_eps0.469.csv"),
+    ],
+    "classify": [
+        ("source", ["classify", "--source", BENCH_SOURCE],
+         "classify_source_bec_bsc_p0.1_eps0.9.txt"),
+        ("bec-bsc", ["classify", "--p", "0.1", "--eps", "0.9"], "classify_p0.1_eps0.9.txt"),
+        ("bec-bsc-eps1", ["classify", "--p", "0.1", "--eps", "1"], "classify_p0.1_eps1.txt"),
+        ("source-ternary-eab", ["classify", "--source", str(DATA / "source_ternary_eab.txt")],
+         "classify_source_ternary_eab.txt"),
+    ],
+    "simulate": [
+        ("defaults", ["simulate"], "simulate_defaults.csv"),
+        ("n14", ["simulate", "--n", "14"], "simulate_n14.csv"),
+        ("readme", ["simulate", "--p", "0.1", "--eps", "0.469", "--alpha", "0.031",
+                    "--beta", "0.05", "--n", "10", "--trials", "100", "--seed", "1",
+                    "--slack", "0.1"], "simulate_p0.1_eps0.469_n10_seed1.csv"),
+        # 811 x 27 codewords, 8,328 of them distinct, in groups cut into parts
+        ("n12-slack0.2", ["simulate", "--n", "12", "--slack", "0.2"],
+         "simulate_n12_slack0.2.csv"),
+        # odd n: the encoder's split of the words is uneven
+        ("n13-seed3", ["simulate", "--n", "13", "--seed", "3"], "simulate_n13_seed3.csv"),
+    ],
+    "sweep": [
+        ("defaults", ["sweep"], "sweep_defaults.csv"),
+        ("readme", ["sweep", "--p", "0.1", "--eps", "0.469", "--grid", "8", "--d-max", "0.2",
+                    "--rate-budget", "0.376"], "sweep_p0.1_eps0.469_budget0.376.csv"),
+        ("readme-defaults", ["sweep", "--rate-budget", "0.376"],
+         "sweep_p0.1_eps0.469_budget0.376.csv"),
+        ("budget-before-clamp", ["sweep", "--p", "0.1", "--eps", "0.7", "--rate-budget", "0.5"],
+         "sweep_p0.1_eps0.7_budget0.5.csv"),
+        ("short-of-delta-star", ["sweep", "--p", "0.3", "--eps", "1.0", "--grid", "16"],
+         "sweep_p0.3_eps1_grid16.csv"),
+    ],
+}
+
+
+def goldens(test):
+    """The GOLDENS rows of `test` as pytest params (argv, golden file)."""
+    return [pytest.param(argv, golden, id=name) for name, argv, golden in GOLDENS[test]]
+
+
+def assert_prints_golden(capsys, argv, golden):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / golden).read_bytes().decode()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    pytest.param(argv, golden, id=f"{argv[0]}-{name}")
+    for rows in GOLDENS.values() for name, argv, golden in rows])
+def test_console_script_matches_golden_file(argv, golden):
+    # the installed command, or else this Python running the module that
+    # the tests import
+    script = shutil.which("secrd")
+    command = [script] if script else [sys.executable, "-m", "secrd.cli"]
+    env = None if script else {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(command + argv, capture_output=True, env=env)
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    assert done.stdout == (DATA / golden).read_bytes()
 
 SOURCE_TEXT = """\
 joint
@@ -63,21 +155,9 @@ class TestEval:
         assert set(payload) == {"R", "D", "Delta"}
         assert payload["D"] >= 0.0
 
-    @pytest.mark.parametrize("source, scheme, argv, golden", [
-        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt",
-         "scheme_alpha0.031_beta0.05.txt", [], "eval_p0.1_eps0.469.txt"),
-        (Path(__file__).parent / "data/source_p0.1_eps0.469.txt",
-         "scheme_alpha0.031_beta0.05.txt", ["--format", "json"], "eval_p0.1_eps0.469.json"),
-        (Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt",
-         "scheme_alpha0.031_beta0.05.txt", [], "eval_p0.1_eps0.9.txt"),
-        (Path(__file__).parent / "data/source_ternary_eab.txt",
-         "scheme_ternary_3_2_2.txt", [], "eval_ternary_eab.txt"),
-    ], ids=["text", "json", "bec-bsc-eps0.9", "ternary-eab"])
-    def test_matches_golden_file(self, capsys, source, scheme, argv, golden):
-        data = Path(__file__).parent / "data"
-        assert main(["eval", "--source", str(source), "--scheme",
-                     str(data / scheme), *argv]) == EXIT_OK
-        assert capsys.readouterr().out == (data / golden).read_bytes().decode()
+    @pytest.mark.parametrize("argv, golden", goldens("eval"))
+    def test_matches_golden_file(self, capsys, argv, golden):
+        assert_prints_golden(capsys, argv, golden)
 
     def test_missing_file_is_input_error(self, scheme_file, capsys):
         code = main(["eval", "--source", "/nonexistent", "--scheme", scheme_file])
@@ -274,22 +354,14 @@ class TestBinary:
 
     def test_curve_matches_golden_file(self, capsys):
         # the README curve; each beta_opt is the correctly rounded optimum
-        code = main(["binary", "--p", "0.1", "--eps", "0.469", "--curve",
-                     "--grid", "200", "--format", "csv"])
-        assert code == EXIT_OK
-        golden = Path(__file__).parent / "data" / "curve_p0.1_eps0.469.csv"
-        assert capsys.readouterr().out == golden.read_bytes().decode()
+        for _, argv, golden in GOLDENS["binary --curve"]:
+            assert_prints_golden(capsys, argv, golden)
 
-    @pytest.mark.parametrize("argv, golden", [
-        ([], "binary_p0.1_eps0.469.txt"),
-        (["--format", "csv"], "binary_p0.1_eps0.469.csv"),
-    ], ids=["text", "csv"])
+    @pytest.mark.parametrize("argv, golden", goldens("binary"))
     def test_table_matches_golden_file(self, capsys, argv, golden):
         # as printed when the best beta came from a beta scan and a
         # golden-section search
-        assert main(["binary", *argv]) == EXIT_OK
-        path = Path(__file__).parent / "data" / golden
-        assert capsys.readouterr().out == path.read_bytes().decode()
+        assert_prints_golden(capsys, argv, golden)
 
     def test_curve_writes_csv(self, capsys):
         assert main(["binary", "--curve", "--grid", "3"]) == EXIT_OK
@@ -320,20 +392,11 @@ class TestClassify:
         assert code == EXIT_OK
         assert "degraded=" in out and "rev_degraded=" in out
 
-    @pytest.mark.parametrize("argv, golden", [
-        (["--source", str(Path(__file__).parents[1] / "perfbench/data/bec_bsc_p0.1_eps0.9.txt")],
-         "classify_source_bec_bsc_p0.1_eps0.9.txt"),
-        (["--p", "0.1", "--eps", "0.9"], "classify_p0.1_eps0.9.txt"),
-        (["--p", "0.1", "--eps", "1"], "classify_p0.1_eps1.txt"),
-        (["--source", str(Path(__file__).parent / "data/source_ternary_eab.txt")],
-         "classify_source_ternary_eab.txt"),
-    ], ids=["source", "bec-bsc", "bec-bsc-eps1", "source-ternary-eab"])
+    @pytest.mark.parametrize("argv, golden", goldens("classify"))
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when the reverse less-noisy verdict came from a second
         # search on the source rebuilt with B and E swapped
-        assert main(["classify", *argv]) == EXIT_OK
-        path = Path(__file__).parent / "data" / golden
-        assert capsys.readouterr().out == path.read_bytes().decode()
+        assert_prints_golden(capsys, argv, golden)
 
     def test_out_of_memory_is_resource_error(self, source_file, capsys, monkeypatch):
         def out_of_memory(source):
@@ -366,22 +429,10 @@ class TestSimulate:
         assert lines[1] == "trial,encode_ok,decode_ok,distortion,equivocation"
         assert len(lines) == 12
 
-    @pytest.mark.parametrize("argv, golden", [
-        ([], "simulate_defaults.csv"),
-        (["--n", "14"], "simulate_n14.csv"),
-        (["--p", "0.1", "--eps", "0.469", "--alpha", "0.031", "--beta", "0.05",
-          "--n", "10", "--trials", "100", "--seed", "1", "--slack", "0.1"],
-         "simulate_p0.1_eps0.469_n10_seed1.csv"),
-        # 811 x 27 codewords, 8,328 of them distinct, in groups cut into parts
-        (["--n", "12", "--slack", "0.2"], "simulate_n12_slack0.2.csv"),
-        # odd n: the encoder's split of the words is uneven
-        (["--n", "13", "--seed", "3"], "simulate_n13_seed3.csv"),
-    ], ids=["defaults", "n14", "readme", "n12-slack0.2", "n13-seed3"])
+    @pytest.mark.parametrize("argv, golden", goldens("simulate"))
     def test_matches_golden_file(self, capsys, argv, golden):
         # as printed when each trial built its own numpy generator
-        assert main(["simulate", *argv]) == EXIT_OK
-        path = Path(__file__).parent / "data" / golden
-        assert capsys.readouterr().out == path.read_bytes().decode()
+        assert_prints_golden(capsys, argv, golden)
 
     def test_point_mass_equivocation_prints_positive_zero(self, capsys):
         # at p = 0 Eve sees A, so every trial's equivocation is exactly 0
@@ -418,19 +469,10 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0] == "D,R,Delta,scheme_id"
 
-    @pytest.mark.parametrize("argv, golden", [
-        ([], "sweep_defaults.csv"),
-        (["--p", "0.1", "--eps", "0.469", "--grid", "8", "--d-max", "0.2",
-          "--rate-budget", "0.376"], "sweep_p0.1_eps0.469_budget0.376.csv"),
-        (["--p", "0.1", "--eps", "0.7", "--rate-budget", "0.5"],
-         "sweep_p0.1_eps0.7_budget0.5.csv"),
-        (["--p", "0.3", "--eps", "1.0", "--grid", "16"], "sweep_p0.3_eps1_grid16.csv"),
-    ], ids=["defaults", "readme", "budget-before-clamp", "short-of-delta-star"])
+    @pytest.mark.parametrize("argv, golden", goldens("sweep"))
     def test_matches_golden_file(self, capsys, argv, golden):
         # as the search printed them when it evaluated the coarse grid per search
-        assert main(["sweep", *argv]) == EXIT_OK
-        path = Path(__file__).parent / "data" / golden
-        assert capsys.readouterr().out == path.read_bytes().decode()
+        assert_prints_golden(capsys, argv, golden)
 
     def test_negative_grid_is_invariant_error(self, capsys):
         assert main(["sweep", "--grid", "-2"]) == EXIT_INVARIANT
@@ -513,7 +555,7 @@ def test_readme_file_examples_parse(tmp_path, capsys):
     ("**Scheme file**", "scheme_alpha0.031_beta0.05.txt"),
 ], ids=["source", "scheme"])
 def test_readme_file_examples_are_the_eval_golden_inputs(heading, name):
-    path = Path(__file__).parent / "data" / name
+    path = DATA / name
     assert _readme_example(heading) == path.read_text()
 
 
@@ -564,7 +606,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"curve {value}\n")
         assert main(["binary", "--config", str(cfg)]) == EXIT_OK
-        path = Path(__file__).parent / "data" / "binary_p0.1_eps0.469.txt"
+        path = DATA / "binary_p0.1_eps0.469.txt"
         assert capsys.readouterr().out == path.read_bytes().decode()
 
     @pytest.mark.parametrize("value", ["ture", "on", "2"])

@@ -19,7 +19,6 @@ from secrd.region import AuxScheme, SecureSource
 from secrd.simulate import (
     CHUNK_CELLS,
     SCORE_TOL,
-    _LOG_FLOOR,
     Codebook,
     ResourceLimit,
     SimConfig,
@@ -35,28 +34,6 @@ PARAMS = BecBscParams(p=0.1, eps=0.4689955935892812)
 SCHEME = BinaryScheme(alpha=0.031124, beta=0.0496)
 
 
-def brute_force_encoder(book, seqs):
-    """Codeword index s1 * M2 + s2 and success flag for every word in `seqs`.
-
-    Every (s1, s2, a) is scored by summing log p(u_i, v_i) + log p(a_i | v_i)
-    letter by letter. Per u-word in index order, the top score over its
-    v-words is taken at the lowest s2 within SCORE_TOL of it, and replaces the
-    best so far only if it beats it by more than SCORE_TOL.
-    """
-    best = np.full(len(seqs), -np.inf)
-    idx = np.zeros(len(seqs), dtype=np.int64)
-    for s1, u in enumerate(book.u_words):
-        v = book.v_words[s1]
-        scores = (book.log_uv[u, v][:, None, :]
-                  + book.log_a_given_v[v[:, None, :], seqs]).sum(axis=2)  # (M2, T)
-        top = scores.max(axis=0)
-        gain = top > best + SCORE_TOL
-        s2 = np.argmax(scores >= top - SCORE_TOL, axis=0)  # first within tol
-        best[gain] = top[gain]
-        idx[gain] = s1 * len(book.v_bins) + s2[gain]
-    return idx, best > _LOG_FLOOR / 2
-
-
 def lowest_index_encoder(book):
     """Codeword index s1 * M2 + s2 and success flag for every source word,
     by the encoder's rule on the full (codeword x word) score matrix.
@@ -65,13 +42,14 @@ def lowest_index_encoder(book):
     from `_p_abvu`, and each word takes the lowest codeword index within
     SCORE_TOL of its best score.
     """
-    log_avu = simulate._safe_log2(simulate._p_abvu(book.source, book.scheme).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        log_avu = np.log2(simulate._p_abvu(book.source, book.scheme).sum(axis=1))
     n = book.cfg.n
     u = np.repeat(book.u_words, len(book.v_bins), axis=0)  # row s1 * M2 + s2
     v = book.v_words.reshape(-1, n)
     scores = log_avu[source_words(book)[None], v[:, None], u[:, None]].sum(axis=2)
     top = scores.max(axis=0)
-    return np.argmax(scores >= top - SCORE_TOL, axis=0), top > _LOG_FLOOR / 2
+    return np.argmax(scores >= top - SCORE_TOL, axis=0), top > -np.inf
 
 
 def quaternary_v_case():
@@ -84,6 +62,21 @@ def quaternary_v_case():
         ConditionalPmf(v, u, np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])),
         np.array([[0, 0, 1], [0, 1, 1], [0, 0, 1], [1, 1, 1]]))
     return build_source(PARAMS), aux, SimRates(0.25, 0.1, 0.75, 0.2)
+
+
+def zero_cell_case():
+    """(source, scheme, rates): a binary source whose scheme has V = not A and
+    p(u0 | v0) = 0, so that at n = 9 most words have no covering codeword.
+    Pinned, with its numbers rounded, from a seeded search over such schemes
+    for one whose uncovered words once took a codeword that moved with the
+    encoder's split."""
+    joint = JointPmf((("A", BITS), ("B", BITS), ("E", BITS)), np.array(
+        [0.067, 0.023, 0.080, 0.224, 0.200, 0.122, 0.244, 0.040]).reshape(2, 2, 2))
+    aux = AuxScheme(ConditionalPmf(BITS, BITS, np.array([[0.0, 1.0], [1.0, 0.0]])),
+                    ConditionalPmf(BITS, BITS, np.array([[0.0, 1.0], [0.33, 0.67]])),
+                    np.array([[0, 1], [1, 0]]))
+    return (SecureSource(joint, 1.0 - np.eye(2), d_max=1.0), aux,
+            SimRates(0.1288, 0.0888, 0.3327, 0.1956))
 
 
 def canonical():
@@ -117,6 +110,7 @@ def case_source(case):
     params, scheme = {
         "paper": (PARAMS, SCHEME),
         "noiseless-bob": (BecBscParams(0.1, 0.0), BinaryScheme(0.0, 0.0)),
+        "noisy": (BecBscParams(0.2, 0.7), BinaryScheme(0.1, 0.2)),
         "p0": (BecBscParams(0.0, PARAMS.eps), SCHEME),
     }[case]
     return build_source(params), aux_scheme(params, scheme)
@@ -342,61 +336,66 @@ class TestCodebook:
         with pytest.raises(ResourceLimit, match="codebook of 32x32 codewords exceeds budget 256"):
             run_trials(src, aux, cfg)
 
-    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "noisy"])
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_encoder_matches_brute_force(self, case, n):
-        # "noiseless-bob" has zero-mass (u, v, a) cells and encode failures
-        params, scheme = {
-            "paper": (PARAMS, SCHEME),
-            "noiseless-bob": (BecBscParams(0.1, 0.0), BinaryScheme(0.0, 0.0)),
-            "noisy": (BecBscParams(0.2, 0.7), BinaryScheme(0.1, 0.2)),
-        }[case]
-        src = build_source(params)
-        aux = aux_scheme(params, scheme)
-        rates = achievability_rates(src, aux, slack=0.1)
-        for seed in range(3):
-            book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1,
-                                                seed=seed))
-            (messages, ok), seqs = book.encode_all(), all_words(2, n)
-            np.testing.assert_array_equal(  # lexicographic, as indexed
-                seqs, list(itertools.product(range(2), repeat=n)))
-            idx, want_ok = brute_force_encoder(book, seqs)
-            np.testing.assert_array_equal(book._encode_idx, idx)
-            np.testing.assert_array_equal(ok, want_ok)
-            s1, s2 = np.divmod(idx, len(book.v_bins))
-            np.testing.assert_array_equal(
-                messages, book.u_bins[s1] * book.n_bins[1] + book.v_bins[s2])
-            if case == "noiseless-bob":
-                assert not ok.all()
-
-    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "skewed", "p0",
+    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "noisy", "skewed", "p0",
                                       "ternary", "ternary-zero-a", "quaternary-v",
                                       "many-v-words", "ternary-zero-a-slack0.5"])
-    @pytest.mark.parametrize("n", [1, 3, 5, 7, 8])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7, 8])
     def test_encoder_takes_lowest_codeword_within_tolerance(self, case, n):
         if case == "quaternary-v":
             src, aux, rates = quaternary_v_case()
         elif case == "many-v-words":  # 2^(7n/8) v-words per u-word
             (src, aux), rates = canonical(), SimRates(0.25, 0.1, 0.875, 0.5)
-        elif case == "ternary-zero-a-slack0.5":
-            # scores near _LOG_FLOOR = -1e30, whose rounding the margin of
-            # the encoder's pass 1 must cover
+        elif case == "ternary-zero-a-slack0.5":  # more codewords on the zero cells
             src, aux = case_source("ternary-zero-a")
             rates = achievability_rates(src, aux, slack=0.5)
         else:
             src, aux = case_source(case)
             rates = achievability_rates(src, aux, slack=0.1)
-        book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1, seed=0))
+        na = len(src.a_alphabet)
+        for seed in range(3):
+            book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1, seed=seed))
+            (messages, ok), seqs = book.encode_all(), source_words(book)
+            np.testing.assert_array_equal(  # lexicographic, as indexed
+                seqs, list(itertools.product(range(na), repeat=n)))
+            idx, want_ok = lowest_index_encoder(book)
+            np.testing.assert_array_equal(book._encode_idx, idx)
+            np.testing.assert_array_equal(ok, want_ok)
+            s1, s2 = np.divmod(idx, len(book.v_bins))
+            np.testing.assert_array_equal(
+                messages, book.u_bins[s1] * book.n_bins[1] + book.v_bins[s2])
+            if case == "noiseless-bob" and n >= 4:  # zero-mass (u, v, a) cells
+                assert not ok.all()
+            halves = book.v_words.reshape(-1, n)
+            if case == "quaternary-v" and n == 8:
+                assert min(len(np.unique(halves[:, :4], axis=0)),
+                           len(np.unique(halves[:, 4:], axis=0))) > len(book.u_words)
+            if case == "many-v-words" and n > 1:  # some v-left half is split
+                counts = np.unique(halves[:, :n // 2], axis=0, return_counts=True)[1]
+                assert counts.max() > 2 * 2 ** (n // 2)
+
+    @pytest.mark.parametrize("case, n", [("zero-cell", 9), ("noiseless-bob", 10),
+                                         ("ternary-zero-a", 7)])
+    def test_uncovered_words_take_codeword_zero_at_every_split(self, case, n, monkeypatch):
+        # every score of an uncovered word is -inf, so the tie rule gives it
+        # codeword 0 whatever order the encoder adds a score's terms in
+        if case == "zero-cell":
+            src, aux, rates = zero_cell_case()
+        else:
+            src, aux = case_source(case)
+            rates = achievability_rates(src, aux, slack=0.1)
+        cfg = SimConfig(n=n, rates=rates, trials=1, seed=0)
+        book = Codebook(src, aux, cfg)
         idx, ok = lowest_index_encoder(book)
         np.testing.assert_array_equal(book._encode_idx, idx)
         np.testing.assert_array_equal(book._encode_ok, ok)
-        halves = book.v_words.reshape(-1, n)
-        if case == "quaternary-v" and n == 8:
-            assert min(len(np.unique(halves[:, :4], axis=0)),
-                       len(np.unique(halves[:, 4:], axis=0))) > len(book.u_words)
-        if case == "many-v-words" and n > 1:  # some v-left half is split
-            counts = np.unique(halves[:, :n // 2], axis=0, return_counts=True)[1]
-            assert counts.max() > 2 * 2 ** (n // 2)
+        assert not ok.all() and (book._encode_idx[~ok] == 0).all()
+        for h in range(n + 1):
+            def split(v_words, size, na, h=h):
+                ids, bound = next(itertools.islice(simulate._prefixes(v_words, size), h, None))
+                return (h, *simulate._groups(ids, bound))
+
+            monkeypatch.setattr(simulate, "_split", split)
+            np.testing.assert_array_equal(Codebook(src, aux, cfg)._encode_idx, idx)
 
     def test_row_groups_of_rows_too_long_for_one_integer(self):
         # 70 binary letters overflow an int64 code, so the ids are renumbered;
@@ -470,18 +469,36 @@ class TestCodebook:
             checked += 1
         assert checked == 3
 
+    def test_decode_of_a_row_no_word_explains_is_the_lowest_in_bin_pair(self):
+        # B = A: a row with an erasure has p(b | a) = 0 on every word, so every
+        # in-bin pair scores 0, whether or not its message's preimage is empty
+        src, aux = case_source("noiseless-bob")
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=6, rates=rates, trials=1, seed=0))
+        n1, n2 = book.n_bins
+        ids = np.arange(n1 * n2)
+        b = np.tile([0, 1, 2, 2, 0, 1], (len(ids), 1))  # B alphabet order: 0, e, 1
+        r1, r2 = np.divmod(ids, n2)
+        assert 0 < np.count_nonzero(np.diff(book._preimage_start)) < len(ids)
+        np.testing.assert_array_equal(book.decode(ids, b), r1 * len(book.v_bins) + r2)
+
 
 class TestBatchCalls:
     """`Codebook.decode` and `exact_equivocation` on batches of trials."""
 
     @staticmethod
     def trials(book, k, seed):
-        """k random trials with nonempty preimages: (message ids, b rows, e rows)."""
+        """k trials the source can produce: (message ids, b rows, e rows).
+
+        Each trial takes a word of positive probability, uniformly, and its
+        message, and draws its b and e rows from p(b, e | a) on that word.
+        """
         rng = np.random.default_rng(seed)
-        msg_ids = rng.choice(np.unique(book._encode_map), size=k)
-        na, nb, ne = book.source.p_abe.shape
-        return (msg_ids, rng.integers(nb, size=(k, book.cfg.n)),
-                rng.integers(ne, size=(k, book.cfg.n)))
+        seqs, p_abe = source_words(book), book.source.p_abe
+        word = rng.choice(np.flatnonzero((book.source.p_a[seqs] > 0).all(axis=1)), size=k)
+        cdf = p_abe[seqs[word]].reshape(k, book.cfg.n, -1).cumsum(axis=2)
+        be = (cdf <= rng.random((k, book.cfg.n, 1)) * cdf[..., -1:]).sum(axis=2)
+        return (book._encode_map[word], *np.divmod(be, p_abe.shape[2]))
 
     @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "p0", "skewed",
                                       "ternary", "ternary-zero-a"])
@@ -662,6 +679,21 @@ class TestEquivocation:
         assert unused < book.n_bins[0] * book.n_bins[1]
         with pytest.raises(InvalidArgument, match="empty source preimage"):
             exact_equivocation(book, [messages[0], unused], np.zeros((2, 6), dtype=int))
+
+    @pytest.mark.parametrize("case", ["p0", "ternary"])
+    def test_observation_of_probability_zero_rejected(self, case):
+        src, aux = case_source(case)
+        rates = achievability_rates(src, aux, slack=0.1)
+        book = Codebook(src, aux, SimConfig(n=5, rates=rates, trials=1, seed=0))
+        seqs, msg = source_words(book), book._encode_map[0]
+        if case == "p0":  # E = A: a word outside the preimage has probability 0
+            possible, impossible = seqs[:1], seqs[book._encode_map != msg][:1]
+        else:  # E's first symbol has no mass
+            possible = np.ones((1, 5), dtype=int)
+            impossible = np.array([[1, 1, 0, 1, 1]])
+        assert exact_equivocation(book, [msg], possible)[0] >= 0.0
+        with pytest.raises(InvalidArgument, match="probability 0"):
+            exact_equivocation(book, [msg, msg], np.concatenate([possible, impossible]))
 
 
 class TestTrials:
