@@ -34,6 +34,22 @@ PARAMS = BecBscParams(p=0.1, eps=0.4689955935892812)
 SCHEME = BinaryScheme(alpha=0.031124, beta=0.0496)
 
 
+def brute_force_encoder(book):
+    """Codeword index s1 * M2 + s2 and success flag for every source word.
+
+    Every (s1, s2, a) is scored by summing log p(u_i, v_i) + log p(a_i | v_i)
+    letter by letter from the codebook's own tables, one u-word at a time,
+    and each word takes the lowest codeword index within SCORE_TOL of its
+    best score.
+    """
+    seqs = source_words(book)
+    scores = np.concatenate([
+        (book.log_uv[u, v][:, None, :] + book.log_a_given_v[v[:, None, :], seqs]).sum(axis=2)
+        for u, v in zip(book.u_words, book.v_words)])  # (M1 * M2, T)
+    top = scores.max(axis=0)
+    return np.argmax(scores >= top - SCORE_TOL, axis=0), top > -np.inf
+
+
 def lowest_index_encoder(book):
     """Codeword index s1 * M2 + s2 and success flag for every source word,
     by the encoder's rule on the full (codeword x word) score matrix.
@@ -372,6 +388,17 @@ class TestCodebook:
             if case == "many-v-words" and n > 1:  # some v-left half is split
                 counts = np.unique(halves[:, :n // 2], axis=0, return_counts=True)[1]
                 assert counts.max() > 2 * 2 ** (n // 2)
+
+    @pytest.mark.parametrize("case", ["paper", "noiseless-bob", "noisy"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_encoder_matches_brute_force(self, case, n):
+        src, aux = case_source(case)
+        rates = achievability_rates(src, aux, slack=0.1)
+        for seed in range(3):
+            book = Codebook(src, aux, SimConfig(n=n, rates=rates, trials=1, seed=seed))
+            idx, ok = brute_force_encoder(book)
+            np.testing.assert_array_equal(book._encode_idx, idx)
+            np.testing.assert_array_equal(book._encode_ok, ok)
 
     @pytest.mark.parametrize("case, n", [("zero-cell", 9), ("noiseless-bob", 10),
                                          ("ternary-zero-a", 7)])
