@@ -31,11 +31,13 @@ words where the passes' cells are fewest. Its groupings rank keys of known
 bound by counting, and its sorts take the narrowest dtype that holds them,
 which numpy radix-sorts at 16 bits or less.
 
-Trials run in chunks of bounded size, and `Codebook.decode` and
-`exact_equivocation` each take a whole chunk. Each message's preimage (the
-source words that encode to it) is built with the codebook; a trial's decode
-scores and Eve's posterior are read over its preimage only, each word's
-log-likelihood the sum of tables over its first and its second half.
+Trials run in chunks of at most BLOCK_CELLS array cells, the cap on the
+encoder's blocks, and `Codebook.decode` and `exact_equivocation` each take a
+whole chunk: 410 to 430 trials at n = 10 on the paper scheme. The cap is no
+larger so that memory stays flat in the trial count. Each message's preimage
+(the source words that encode to it) is built with the codebook; a trial's
+decode scores and Eve's posterior are read over its preimage only, each
+word's log-likelihood the sum of tables over its first and its second half.
 
 Trial t draws its letters from child t of `SeedSequence(seed)`, as
 `spawn()` numbers the children: they are the numbers
@@ -55,8 +57,10 @@ from .region import AuxScheme, SecureSource
 
 ENUM_LIMIT = 1 << 14
 MAX_CODEWORDS = 1 << 16  # cap on the u-words, the v-words per u-word and their product
-CHUNK_CELLS = 1 << 14  # cap on the cells of one chunk of trials' arrays
-ENCODE_CELLS = 1 << 16  # cap on the cells of one block of encoder scores
+# Cap on the cells of one block of encoder scores and of one chunk of trials'
+# arrays, 512 KB of float64: 410 to 430 trials at n = 10 on the paper scheme.
+# It is no larger so that memory stays flat in the trial count.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ class Codebook:
         # as flat indices pos * |A|^(n-h) + tr of codeword order[pos].
         part_max = np.empty((n_parts, n_right))
         kept = []
-        for lo, hi in _blocks(part_size * n_right, ENCODE_CELLS):
+        for lo, hi in _blocks(part_size * n_right, BLOCK_CELLS):
             rows = order[start[lo]:start[hi]]
             val = w[rows, None] + gr[right_id[rows]]
             top = part_max[lo:hi] = np.maximum.reduceat(val, start[lo:hi] - start[lo])
@@ -379,7 +383,7 @@ class Codebook:
         kept_start = np.concatenate(([0], np.cumsum(np.bincount(
             key, minlength=n_parts * n_right))))
         best = np.full((n_left, n_right), -np.inf)
-        for lo, hi in _blocks(np.full(n_parts, na ** n), ENCODE_CELLS):
+        for lo, hi in _blocks(np.full(n_parts, na ** n), BLOCK_CELLS):
             np.maximum(best, (gl[lo:hi, :, None] + part_max[lo:hi, None, :]).max(axis=0),
                        out=best)
         best = best.ravel()
@@ -397,14 +401,14 @@ class Codebook:
                                    >= thresh.min(axis=1))
         best_idx = np.where(ok, count, 0)
         # a row gathers N and the thresholds and sums: 3 |A|^(n-h) cells
-        for lo, hi in _blocks(np.full(len(row_p), 3 * n_right), ENCODE_CELLS):
+        for lo, hi in _blocks(np.full(len(row_p), 3 * n_right), BLOCK_CELLS):
             row, tr = np.divmod(np.flatnonzero(
                 gl[row_p[lo:hi], row_tl[lo:hi], None] + part_max[row_p[lo:hi]]
                 >= thresh[row_tl[lo:hi]]), n_right)
             p, tl = row_p[lo + row], row_tl[lo + row]
             word, key = tl * n_right + tr, p * n_right + tr
             base, limit = gl[p, tl], thresh[tl, tr]
-            for plo, phi in _blocks(kept_start[key + 1] - kept_start[key], ENCODE_CELLS):
+            for plo, phi in _blocks(kept_start[key + 1] - kept_start[key], BLOCK_CELLS):
                 first = kept_start[key[plo:phi]]
                 sizes = kept_start[key[plo:phi] + 1] - first
                 ends = np.cumsum(sizes)
@@ -643,13 +647,14 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     trial t's letters come from child t of `SeedSequence(cfg.seed)`, as
     `spawn()` numbers them, and are the numbers
     `default_rng(child).random(2 n)` gives, drawn for a whole chunk in one
-    array pass. Trials run in chunks of at most CHUNK_CELLS array cells, so
-    memory does not grow with `cfg.trials`, and the records do not depend
-    on the chunking.
+    array pass. Trials run in chunks of at most BLOCK_CELLS array cells
+    (410 to 430 trials at n = 10 on the paper scheme), so memory does not
+    grow with `cfg.trials`, and the records do not depend on the chunking.
+    The codebook is built, and its guards run, even when `cfg.trials` is 0.
     """
+    codebook = Codebook(source, scheme, cfg)
     if cfg.trials == 0:
         return TrialSummary([], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    codebook = Codebook(source, scheme, cfg)
     messages, enc_ok = codebook._encode_map, codebook._encode_ok
 
     p_abe, p_a = source.p_abe, source.p_a
@@ -666,7 +671,7 @@ def run_trials(source: SecureSource, scheme: AuxScheme,
     n = cfg.n
     pow_a = na ** np.arange(n - 1, -1, -1)
     v_words = codebook.v_words.reshape(-1, n)  # row s1 * M2 + s2
-    chunk = max(1, CHUNK_CELLS // codebook._trial_cells())
+    chunk = max(1, BLOCK_CELLS // codebook._trial_cells())
     records, columns = [], []
     for first in range(0, cfg.trials, chunk):
         # per trial, choice(na, n, p=p(a)) and then one choice(nb * ne,

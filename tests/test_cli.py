@@ -453,6 +453,16 @@ class TestSimulate:
         assert captured.err == "error: codebook of 6534x122 codewords exceeds budget 65536\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "40"], "error: |A|^n = 1099511627776 exceeds enumeration limit\n"),
+        (["--slack", "1e300"], "error: 2^1e+301 codewords exceed budget 65536\n"),
+    ], ids=["blocklength", "slack"])
+    def test_zero_trials_take_the_size_guards(self, capsys, flags, message):
+        assert main(["simulate", "--trials", "0", *flags]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
     def test_huge_slack_gives_a_short_message(self, capsys):
         # the codeword exponent n (I + slack) prints as 1e+301, not in 302 digits
         assert main(["simulate", "--slack", "1e300"]) == EXIT_RESOURCE

@@ -17,7 +17,7 @@ from secrd.probs import (Alphabet, ConditionalPmf, InvalidArgument, JointPmf, al
                          bec, bsc, joint_from)
 from secrd.region import AuxScheme, SecureSource
 from secrd.simulate import (
-    CHUNK_CELLS,
+    BLOCK_CELLS,
     SCORE_TOL,
     Codebook,
     ResourceLimit,
@@ -566,12 +566,10 @@ class TestBatchCalls:
         assert (pairs.shape, pairs.dtype) == ((0,), np.int64)
         assert (eqs.shape, eqs.dtype) == ((0,), np.float64)
 
-    def test_run_trials_calls_each_kernel_once_per_chunk(self, monkeypatch):
-        # perfbench times the simulator's trials through these two names
-        src, aux = canonical()
-        rates = achievability_rates(src, aux, slack=0.1)
-        cfg = SimConfig(n=10, rates=rates, trials=1, seed=0)
-        chunk = CHUNK_CELLS // Codebook(src, aux, cfg)._trial_cells()
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """(kernel, trials) of each decode and exact_equivocation call, in order;
+        perfbench times the simulator's trials through these two names."""
         calls = []
         decode, equivocation = Codebook.decode, simulate.exact_equivocation
 
@@ -584,9 +582,25 @@ class TestBatchCalls:
         monkeypatch.setattr(Codebook, "decode", counting("decode", decode))
         monkeypatch.setattr(simulate, "exact_equivocation",
                             counting("equivocation", equivocation))
+        return calls
+
+    def test_run_trials_calls_each_kernel_once_per_chunk(self, kernel_calls):
+        src, aux = canonical()
+        rates = achievability_rates(src, aux, slack=0.1)
+        cfg = SimConfig(n=10, rates=rates, trials=1, seed=0)
+        chunk = BLOCK_CELLS // Codebook(src, aux, cfg)._trial_cells()
         run_trials(src, aux, replace(cfg, trials=2 * chunk + 3))
         sizes = [chunk, chunk, 3]
-        assert calls == [(name, k) for k in sizes for name in ("decode", "equivocation")]
+        assert kernel_calls == [(name, k) for k in sizes
+                                for name in ("decode", "equivocation")]
+
+    @pytest.mark.parametrize("n, trials", [(10, 400), (14, 100)])
+    def test_paper_runs_take_one_chunk(self, kernel_calls, n, trials):
+        # the benchmark's many-trial runs and the `simulate --n 14` default
+        src, aux = canonical()
+        rates = achievability_rates(src, aux, slack=0.1)
+        run_trials(src, aux, SimConfig(n=n, rates=rates, trials=trials, seed=0))
+        assert kernel_calls == [("decode", trials), ("equivocation", trials)]
 
 
 def _bits(a):
@@ -771,7 +785,7 @@ class TestTrials:
         src, aux, cfg = self.one_message(1)
         book = Codebook(src, aux, cfg)
         assert book.n_bins == (1, 1)
-        chunk = CHUNK_CELLS // book._trial_cells()
+        chunk = BLOCK_CELLS // book._trial_cells()
         assert chunk >= 1
         trials = 2 * chunk + 3  # two full chunks and a short one
         src, aux, cfg = self.one_message(trials)
@@ -811,6 +825,20 @@ class TestTrials:
         summary = run_trials(src, aux, SimConfig(n=6, rates=rates,
                                                  trials=0, seed=0))
         assert summary.records == []
+
+    @pytest.mark.parametrize("error, match, case, n, rates", [
+        (ResourceLimit, "enumeration limit", "paper", 40, None),  # 2^40 words
+        (ResourceLimit, "codewords exceed", "paper", 10, SimRates(5.0, 1.0, 5.0, 1.0)),
+        (InvalidArgument, "must match source A", "ternary", 6, None),  # |A| = 3
+    ], ids=["blocklength", "codebook", "scheme"])
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_zero_trials_take_the_codebook_guards(self, error, match, case, n, rates,
+                                                   trials):
+        src, aux = canonical()
+        scheme = case_source(case)[1]
+        rates = rates or achievability_rates(src, aux, slack=0.1)
+        with pytest.raises(error, match=match):
+            run_trials(src, scheme, SimConfig(n=n, rates=rates, trials=trials, seed=0))
 
 
 def _word_pairs(p_ax, n):
